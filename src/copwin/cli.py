@@ -244,16 +244,17 @@ def _cmd_width(args):
 
 
 def _gapscan_source(args):
+    """Graphs to scan; generated sources are produced lazily."""
     if args.exhaustive:
         if args.n is None:
             raise UsageError("--exhaustive requires --n")
-        return list(enumerate_digraphs(args.n))
+        return enumerate_digraphs(args.n)
     if args.random is not None:
         if args.n is None:
             raise UsageError("--random requires --n")
-        return [
+        return (
             random_digraph(args.n, args.p, args.seed + i) for i in range(args.random)
-        ]
+        )
     if args.graphs:
         return [_load_graph(path) for path in args.graphs]
     raise UsageError("gapscan needs --exhaustive, --random COUNT, or graph files")
@@ -262,38 +263,46 @@ def _gapscan_source(args):
 def _cmd_gapscan(args):
     variant = _variant(args.variant)
     graphs = _gapscan_source(args)
+    cert_dir = Path(args.cert_dir) if args.cert_dir else None
+    cert_paths = {}
+
+    def write_certificates(rec):
+        # the scan drops each record's certificates once this returns
+        if cert_dir is None:
+            return
+        for which, cert in (
+            ("plain", rec.certificate_plain),
+            ("monotone", rec.certificate_monotone),
+        ):
+            if cert is None:
+                continue
+            cert_dir.mkdir(parents=True, exist_ok=True)
+            path = cert_dir / f"{rec.graph_id}.{rec.variant}.{which}.cert.json"
+            path.write_text(cert.to_json_text(), encoding="utf-8")
+            cert_paths[(rec.graph_id, which)] = str(path)
+
     result = gap_scan(
         graphs,
         variant,
         state_budget=args.state_budget,
         jobs=args.jobs,
         measure_runtime=args.timings,
+        sink=write_certificates,
     )
-    cert_paths = {}
-    if args.cert_dir:
-        cert_dir = Path(args.cert_dir)
+    if cert_dir is not None:
         cert_dir.mkdir(parents=True, exist_ok=True)
-        for rec in result.records:
-            for which, cert in (
-                ("plain", rec.certificate_plain),
-                ("monotone", rec.certificate_monotone),
-            ):
-                if cert is None:
-                    continue
-                path = cert_dir / f"{rec.graph_id}.{rec.variant}.{which}.cert.json"
-                path.write_text(cert.to_json_text(), encoding="utf-8")
-                cert_paths[(rec.graph_id, which)] = str(path)
     if args.format == "csv":
-        text = rows_to_csv(GAP_FIELDS, [r.to_row() for r in result.records])
+        text = rows_to_csv(GAP_FIELDS, (r.to_row() for r in result.records))
     else:
-        rows = []
-        for rec in result.records:
-            row = rec.to_row()
-            row["certificate_plain"] = cert_paths.get((rec.graph_id, "plain"))
-            row["certificate_monotone"] = cert_paths.get((rec.graph_id, "monotone"))
-            row["attestation"] = rec.attestation
-            rows.append(row)
-        text = rows_to_jsonl(rows)
+        def jsonl_rows():
+            for rec in result.records:
+                row = rec.to_row()
+                row["certificate_plain"] = cert_paths.get((rec.graph_id, "plain"))
+                row["certificate_monotone"] = cert_paths.get((rec.graph_id, "monotone"))
+                row["attestation"] = rec.attestation
+                yield row
+
+        text = rows_to_jsonl(jsonl_rows())
     _emit(text, args.out)
     s = result.summary
     print(
@@ -310,6 +319,8 @@ def _cmd_certify(args):
         text = Path(args.certificate).read_text(encoding="utf-8")
     except OSError as exc:
         raise CertificateError(f"cannot read {args.certificate}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CertificateError(f"certificate is not UTF-8 text: {exc}") from None
     cert = Certificate.from_json_text(text)
     result = verify_certificate(d, cert)
     if result.valid:

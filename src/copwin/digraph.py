@@ -118,6 +118,7 @@ def parse_edge_list(text: str) -> Digraph:
     """
     declared_n = None
     arcs = []
+    seen = set()
     max_id = -1
     saw_arc = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -152,8 +153,9 @@ def parse_edge_list(text: str) -> Digraph:
             raise EdgeListParseError(
                 f"vertex id in ({u},{v}) exceeds declared count {declared_n}", line_no
             )
-        if (u, v) in set(arcs):
+        if (u, v) in seen:
             raise EdgeListParseError(f"duplicate arc ({u},{v})", line_no)
+        seen.add((u, v))
         arcs.append((u, v))
         max_id = max(max_id, u, v)
     n = declared_n if declared_n is not None else max_id + 1

@@ -8,6 +8,20 @@ transition counts, which the parity tests enforce.
 
 Kernel inputs are already lowered: successor/predecessor masks, a
 canonically ordered cop-move list, plain ints everywhere.
+
+Per-guard reachability rows.  Between two cop sets C and C' the robber
+runs in D - (C & C'), and the guard C & C' is itself a set of at most k
+vertices, hence one of the m cop moves.  So a solve needs reachability
+avoiding at most m distinct guards.  The kernels keep, per guard, the
+row ``reach_mask(adj, 1 << v, guard)`` for every vertex v (0 for v in
+the guard): all rows together cost at most m*n BFS calls and m*n ints
+per solve, instead of one BFS per transition.  Any reachable set is the OR of the rows of its
+sources, so every result is unchanged.  The visible kernel builds the
+rows of a cop set's guards when it first expands that cop set; the
+invisible kernel builds a guard's row at the guard's n-th meeting and
+searches directly before that, so a guard met only a few times (the
+single transition of a 0-cop fast-robber search, say) never pays n
+BFS calls.
 """
 from __future__ import annotations
 
@@ -31,6 +45,27 @@ def reach_mask(succ, src, forbidden):
     return closed
 
 
+def _rows(cache, adj, n, guard):
+    """``reach_mask(adj, 1 << v, guard)`` for every v < n, built once per guard."""
+    row = cache.get(guard)
+    if row is None:
+        row = cache[guard] = [reach_mask(adj, 1 << v, guard) for v in range(n)]
+    return row
+
+
+def _met_row(cache, met, adj, n, guard):
+    """The row of ``guard`` from its n-th meeting on, else None.
+
+    A row costs n BFS calls; waiting for n meetings keeps the total
+    within about twice the BFS calls of searching at every meeting.
+    """
+    count = met.get(guard, 0) + 1
+    if count < n:
+        met[guard] = count
+        return None
+    return _rows(cache, adj, n, guard)
+
+
 def solve_visible(succ, pred, n, moves, monotone, strong, budget):
     """Attractor over the bipartite arena of the visible fast-robber game.
 
@@ -46,16 +81,11 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
         raise StateBudgetExceededError(budget, num_pos * m)
 
     transitions = 0
-    # robber spaces, needed only to enforce monotone transitions
-    space = None
-    if monotone:
-        space = [0] * num_pos
-        for ci in range(m):
-            cmask = moves[ci]
-            base = ci * n
-            for r in range(n):
-                if not cmask >> r & 1:
-                    space[base + r] = reach_mask(succ, 1 << r, cmask)
+    fwd_rows = {}
+    bwd_rows = {}
+    # robber territory at (C, r) is space[C][r], needed only to enforce
+    # monotone transitions (every move is its own guard: C & C = C)
+    space = [_rows(fwd_rows, succ, n, cj) for cj in moves] if monotone else None
 
     win_round = [0] * num_pos
     best_move = [-1] * num_pos
@@ -63,14 +93,21 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
     rev = [[] for _ in range(num_pos)]
     queue = []
 
+    full = (1 << n) - 1
     for ci in range(m):
         cmask = moves[ci]
+        if cmask == full:  # no robber spot left
+            continue
         base = ci * n
+        # rows of the guards C & C' for every C' != C, shared by all robber spots
+        fwd = [_rows(fwd_rows, succ, n, cmask & cj) if j != ci else None
+               for j, cj in enumerate(moves)]
+        bwd = [_rows(bwd_rows, pred, n, cmask & cj) if j != ci else None
+               for j, cj in enumerate(moves)] if strong else None
         for r in range(n):
             if cmask >> r & 1:
                 continue
             pid = base + r
-            rbit = 1 << r
             for j in range(m):
                 if j == ci:  # C' = C never changes any state
                     continue
@@ -78,10 +115,9 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
                 transitions += 1
                 if transitions > budget:
                     raise StateBudgetExceededError(budget, transitions)
-                guard = cmask & cj
-                opts = reach_mask(succ, rbit, guard)
+                opts = fwd[j][r]
                 if strong:
-                    opts &= reach_mask(pred, rbit, guard)
+                    opts &= bwd[j][r]
                 opts &= ~cj
                 if opts == 0:
                     # capture: rank-1 win, no later move can beat it
@@ -90,13 +126,13 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
                     queue.append(pid)
                     break
                 if monotone:
-                    s_old = space[pid]
-                    jbase = j * n
+                    s_old = space[ci][r]
+                    space_j = space[j]
                     f = opts
                     vetoed = False
                     while f:
                         low = f & -f
-                        if space[jbase + (low.bit_length() - 1)] & ~s_old:
+                        if space_j[low.bit_length() - 1] & ~s_old:
                             vetoed = True
                             break
                         f ^= low
@@ -169,6 +205,8 @@ def solve_invisible(succ, n, moves, lazy, monotone, budget):
     parent = [-1]
     parent_move = [-1]
     transitions = 0
+    rows = {}
+    met = {}
     head = 0
     while head < len(state_ci):
         ci = state_ci[head]
@@ -183,15 +221,23 @@ def solve_invisible(succ, n, moves, lazy, monotone, budget):
             transitions += 1
             if transitions > budget:
                 raise StateBudgetExceededError(budget, transitions)
-            guard = cmask & cj
-            if lazy:
-                hit = rmask & cj
-                if hit:
-                    rp = (rmask | reach_mask(succ, hit, guard)) & ~cj
+            # robbers run from the vertices C' lands on (lazy) or from
+            # everywhere (fast); the reach is the OR of the source rows
+            rp = rmask
+            f = rmask & cj if lazy else rmask
+            if f:
+                guard = cmask & cj
+                row = rows.get(guard)
+                if row is None:
+                    row = _met_row(rows, met, succ, n, guard)
+                if row is None:
+                    rp |= reach_mask(succ, f, guard)
                 else:
-                    rp = rmask & ~cj
-            else:
-                rp = reach_mask(succ, rmask, guard) & ~cj
+                    while f:
+                        low = f & -f
+                        rp |= row[low.bit_length() - 1]
+                        f ^= low
+            rp &= ~cj
             if monotone and rp & ~rmask:
                 continue
             if rp == 0:

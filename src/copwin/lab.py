@@ -11,8 +11,8 @@ import itertools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .arena import GameVariant
 from .digraph import Digraph, fingerprint, parse_edge_list, to_edge_list
@@ -257,6 +257,28 @@ def _scan_one(args):
     )
 
 
+def _scan_records(graphs, variant, state_budget, jobs, measure_runtime, verify):
+    """Yield one GapRecord per source graph, in source order.
+
+    The serial path pulls each graph from the source only when its
+    record is due; a parallel scan collects its tasks first.
+    """
+    def each_task():
+        for item in graphs:
+            gid, d = item if isinstance(item, tuple) else (None, item)
+            yield (gid, to_edge_list(d), variant.name, state_budget, measure_runtime, verify)
+
+    tasks = each_task()
+    if jobs > 1:
+        tasks = list(tasks)
+        if len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                yield from pool.map(_scan_one, tasks, chunksize=16)
+            return
+    for task in tasks:
+        yield _scan_one(task)
+
+
 def gap_scan(
     graphs: GraphSource,
     variant: GameVariant,
@@ -264,6 +286,7 @@ def gap_scan(
     jobs: int = 1,
     measure_runtime: bool = False,
     verify: bool = True,
+    sink: Optional[Callable[[GapRecord], None]] = None,
 ) -> GapScanResult:
     """One GapRecord per instance, in source order, plus a summary.
 
@@ -272,21 +295,18 @@ def gap_scan(
     completion order, so reports are deterministic for a fixed source;
     runtime_ms is 0 unless measure_runtime is set (wall-clock timings
     are inherently non-reproducible).
+
+    The source is read lazily (except with ``jobs > 1``).  With a
+    ``sink``, each record is handed to it as soon as it is made, and the
+    result keeps the record without its two certificates, so a long scan
+    need not hold them all.
     """
-    tasks = []
-    for item in graphs:
-        if isinstance(item, tuple):
-            gid, d = item
-        else:
-            gid, d = None, item
-        tasks.append(
-            (gid, to_edge_list(d), variant.name, state_budget, measure_runtime, verify)
-        )
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_scan_one, tasks, chunksize=16))
-    else:
-        records = [_scan_one(t) for t in tasks]
+    records = []
+    for rec in _scan_records(graphs, variant, state_budget, jobs, measure_runtime, verify):
+        if sink is not None:
+            sink(rec)
+            rec = replace(rec, certificate_plain=None, certificate_monotone=None)
+        records.append(rec)
     solved = sum(1 for r in records if r.status in ("ok", "gap-unconfirmed"))
     gaps_pos = [r for r in records if r.gap]
     summary = GapScanSummary(

@@ -30,7 +30,7 @@ from .arena import (
 from .bits import iter_bits, mask_from, mask_to_tuple, subsets_upto
 from .digraph import Digraph, fingerprint, reach_mask
 from .engine import get_backend
-from .errors import CertificateError, StateBudgetExceededError
+from .errors import CertificateError, StateBudgetExceededError, UnsupportedVariantError
 
 DEFAULT_STATE_BUDGET = 50_000_000
 
@@ -82,9 +82,10 @@ class Certificate:
 
     @staticmethod
     def from_json_text(text: str) -> "Certificate":
+        """Parse and schema-check a certificate; any defect is a CertificateError."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CertificateError(f"certificate is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
             raise CertificateError("unrecognized certificate format")
@@ -93,25 +94,53 @@ class Certificate:
             if kind == "positional":
                 body = tuple(
                     sorted(
-                        (tuple(e["cops"]), e["robber"], tuple(e["move"]))
-                        for e in doc["body"]
+                        (_vertex_set(e["cops"]), _vertex(e["robber"]), _vertex_set(e["move"]))
+                        for e in _field(doc, "body", list)
                     )
                 )
             elif kind == "sequence":
-                body = tuple(tuple(c) for c in doc["body"])
+                body = tuple(_vertex_set(c) for c in _field(doc, "body", list))
             else:
                 raise CertificateError(f"unknown certificate kind {kind!r}")
+            variant = _field(doc, "variant", str)
+            try:
+                GameVariant.from_name(variant)
+            except UnsupportedVariantError as exc:
+                raise CertificateError(f"malformed certificate: {exc}") from None
             return Certificate(
-                variant=doc["variant"],
-                k=int(doc["k"]),
-                monotone=bool(doc["monotone"]),
-                graph_sha256=doc["graph_sha256"],
+                variant=variant,
+                k=_field(doc, "k", int),
+                monotone=_field(doc, "monotone", bool),
+                graph_sha256=_field(doc, "graph_sha256", str),
                 kind=kind,
                 body=body,
                 tool_version=doc.get("tool_version", "unknown"),
             )
         except (KeyError, TypeError) as exc:
             raise CertificateError(f"malformed certificate: {exc!r}") from None
+
+
+def _field(doc, key, kind):
+    """doc[key], which must be of JSON type ``kind`` (a bool is not an int)."""
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise CertificateError(
+            f"malformed certificate: {key!r} must be a JSON {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _vertex(value):
+    """A vertex id's JSON type; its range is checked against the graph on replay."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CertificateError(f"malformed certificate: {value!r} is not a vertex id")
+    return value
+
+
+def _vertex_set(value):
+    if not isinstance(value, list):
+        raise CertificateError(f"malformed certificate: {value!r} is not a vertex list")
+    return tuple(_vertex(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -307,14 +336,14 @@ def verify_certificate(d: Digraph, cert: Certificate) -> VerificationResult:
 
 
 def _verify_positional(d, cert, variant):
-    full = d.full_mask
     strong = variant.confinement is Confinement.STRONG_COMPONENT
     strategy: Dict[Tuple[int, int], int] = {}
     for cops, robber, move in cert.body:
+        # range-check before building masks: 1 << id must stay small
+        if not all(0 <= v < d.n for v in (*cops, robber, *move)):
+            raise CertificateError(f"entry ({cops},{robber}) outside V(D)")
         cmask = mask_from(cops)
         mmask = mask_from(move)
-        if cmask & ~full or mmask & ~full or not 0 <= robber < d.n:
-            raise CertificateError(f"entry ({cops},{robber}) outside V(D)")
         if len(cops) > cert.k or len(move) > cert.k:
             return VerificationResult(
                 False, f"cop set exceeds budget k={cert.k} at ({cops},{robber})"
@@ -384,9 +413,9 @@ def _verify_sequence(d, cert, variant):
     r_mask = full
     c_mask = 0
     for i, move in enumerate(cert.body):
-        mmask = mask_from(move)
-        if mmask & ~full:
+        if not all(0 <= v < d.n for v in move):
             raise CertificateError(f"move {i} outside V(D)")
+        mmask = mask_from(move)
         if len(move) > cert.k:
             return VerificationResult(False, f"move {i} exceeds budget k={cert.k}")
         new_r = contaminate_mask(d, c_mask, mmask, r_mask, lazy)

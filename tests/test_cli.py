@@ -101,6 +101,36 @@ def test_certify_tampered_cert_exit_4(capsys, tmp_path, c3_file):
     assert "contamination" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("variant", 7),
+    ("k", "two"),
+    ("body", [[-1]]),
+    ("body", "xx"),
+    ("monotone", "yes"),
+    ("body", [[10**30]]),
+], ids=["variant-int", "k-str", "negative-id", "body-str", "monotone-str", "huge-id"])
+def test_certify_malformed_field_exit_4(capsys, tmp_path, c3_file, key, value):
+    cert = tmp_path / "cert.json"
+    run_cli(capsys, "copnum", "--variant", "inert", "--emit-cert", str(cert), c3_file)
+    doc = json.loads(cert.read_text())
+    doc[key] = value
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "certify", c3_file, str(cert))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("certificate error:")
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["not-utf8", "deep-nesting"])
+def test_certify_unreadable_text_exit_4(capsys, tmp_path, c3_file, raw):
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(raw)
+    code, out, err = run_cli(capsys, "certify", c3_file, str(cert))
+    assert code == 4
+    assert err.startswith("certificate error:")
+
+
 def test_hard_subcommands(capsys, c3_file):
     code, out, _ = run_cli(capsys, "hard", "fas", c3_file)
     assert code == 0

@@ -61,6 +61,17 @@ def test_parse_duplicate_arc_rejected():
         parse_edge_list("0 1\n0 1")
 
 
+def test_parse_large_file_and_late_duplicate():
+    pairs = [(u, v) for u in range(200) for v in range(200) if u != v][:16000]
+    lines = ["n 200"] + [f"{u} {v}" for u, v in pairs]
+    assert parse_edge_list("\n".join(lines)).m == 16000
+    lines.append("5 9")  # repeats an earlier arc on line 16002
+    with pytest.raises(EdgeListParseError) as info:
+        parse_edge_list("\n".join(lines))
+    assert info.value.line_no == 16002
+    assert "duplicate arc (5,9)" in str(info.value)
+
+
 def test_parse_id_above_declared_count_rejected():
     with pytest.raises(EdgeListParseError):
         parse_edge_list("n 2\n0 2")

@@ -1,6 +1,7 @@
 """Backend parity: the compiled kernels must be bit-for-bit equivalent
 to the pure-Python ones (winners, strategies, sequences, and the
 transition counts that feed the budget)."""
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,67 @@ def _random_instance(rng, max_n=6):
                 succ[u] |= 1 << v
                 pred[v] |= 1 << u
     return n, succ, pred
+
+
+# SHA-256 of every pure-Python kernel result on the parity-test streams
+# (seeds 1 and 2, 150 instances each, every flag combination).  The
+# generous budget pins winners, strategies, sequences and transition
+# counts; the small budgets also pin the (budget, explored) pair carried
+# by StateBudgetExceededError, so the point where a solve gives up
+# cannot move either.
+GOLDEN_BUDGETS = (3, 40, 400, 3000)
+GOLDEN_VISIBLE = {
+    (10**7,): "7b76f15057a47b6f2f09529d060e5b5cf37d79760a1741568fad2c75cede213c",
+    GOLDEN_BUDGETS: "b131498cc921e73060e94e38bf88d61047876bac6f61b37401eb68a86c463f72",
+}
+GOLDEN_INVISIBLE = {
+    (10**7,): "c58733f0c08ea71954d27c0eb3b2edde45312b34311914b441826a90aedecc5e",
+    GOLDEN_BUDGETS: "692b9c20a83a1261f66422cd563ba905cc921c91075e2d7997f3f0ae57f653cb",
+}
+
+
+def _golden_entry(call):
+    try:
+        cops_win, plan, transitions = call()
+    except StateBudgetExceededError as exc:
+        return ("budget", exc.budget, exc.explored)
+    if isinstance(plan, dict):
+        plan = sorted(plan.items())
+    return (cops_win, plan, transitions)
+
+
+@pytest.mark.parametrize("budgets", [(10**7,), GOLDEN_BUDGETS], ids=["ample", "small"])
+def test_visible_golden_digest(budgets):
+    rng = random.Random(1)
+    h = hashlib.sha256()
+    for trial in range(150):
+        n, succ, pred = _random_instance(rng)
+        k = rng.randint(0, n)
+        moves = subsets_upto(n, k)
+        for mono in (False, True):
+            for strong in (False, True):
+                for budget in budgets:
+                    entry = _golden_entry(lambda: pykernels.solve_visible(
+                        succ, pred, n, moves, mono, strong, budget))
+                    h.update(repr(entry).encode())
+    assert h.hexdigest() == GOLDEN_VISIBLE[budgets]
+
+
+@pytest.mark.parametrize("budgets", [(10**7,), GOLDEN_BUDGETS], ids=["ample", "small"])
+def test_invisible_golden_digest(budgets):
+    rng = random.Random(2)
+    h = hashlib.sha256()
+    for trial in range(150):
+        n, succ, _ = _random_instance(rng)
+        k = rng.randint(0, n)
+        moves = subsets_upto(n, k)
+        for lazy in (False, True):
+            for mono in (False, True):
+                for budget in budgets:
+                    entry = _golden_entry(lambda: pykernels.solve_invisible(
+                        succ, n, moves, lazy, mono, budget))
+                    h.update(repr(entry).encode())
+    assert h.hexdigest() == GOLDEN_INVISIBLE[budgets]
 
 
 @needs_c

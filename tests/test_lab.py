@@ -103,6 +103,32 @@ def test_gap_scan_all_n3_visible_gap_free():
     assert all(r.gap == 0 and r.ratio == 1.0 and r.status == "ok" for r in result.records)
 
 
+def test_gap_scan_sink_streams_records_and_drops_certificates():
+    consumed = []
+    seen = []
+
+    def source():
+        for d in enumerate_digraphs(2):
+            consumed.append(d)
+            yield d
+
+    def sink(rec):
+        seen.append((len(consumed), rec))
+
+    result = gap_scan(source(), VISIBLE_FAST, sink=sink)
+    full = gap_scan(list(enumerate_digraphs(2)), VISIBLE_FAST)
+    # each record reaches the sink, certificates included, before the
+    # next graph is drawn from the source
+    assert [count for count, _ in seen] == [1, 2, 3, 4]
+    assert [rec for _, rec in seen] == list(full.records)
+    assert all(rec.certificate_plain is not None for _, rec in seen)
+    # the result keeps everything but the certificates
+    assert [r.to_row() for r in result.records] == [r.to_row() for r in full.records]
+    assert all(r.certificate_plain is None and r.certificate_monotone is None
+               for r in result.records)
+    assert result.summary == full.summary
+
+
 def test_gap_scan_empty_source():
     result = gap_scan([], INVISIBLE_LAZY)
     assert result.summary.instances == 0

@@ -1,10 +1,15 @@
 """Benchmark the pure-Python kernels against the compiled twin.
 
-Run:  python benchmarks/bench_engines.py
+Run:  python benchmarks/bench_engines.py [--repeats N]
 
 Workloads mirror real use: the n=4 census slice, cycle solves at
 moderate cop counts, and the bidirected-clique cross-check instances.
+Each backend runs each workload N times (default 5); the table shows
+the median and the min-max range, and the speedup is the ratio of the
+medians.
 """
+import argparse
+import statistics
 import time
 
 from copwin.bits import subsets_upto
@@ -64,25 +69,37 @@ WORKLOADS = [
 ]
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timed runs per backend and workload (default 5)")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     backends = available_backends()
-    print(f"backends available: {', '.join(sorted(backends))}")
+    print(f"backends available: {', '.join(sorted(backends))}; {args.repeats} run(s) each")
     results = {}
     for wname, fn in WORKLOADS:
         row = {}
         for bname, backend in sorted(backends.items()):
-            start = time.perf_counter()
-            solves = fn(backend)
-            row[bname] = (time.perf_counter() - start, solves)
+            times = []
+            for _ in range(args.repeats):
+                start = time.perf_counter()
+                solves = fn(backend)
+                times.append(time.perf_counter() - start)
+            row[bname] = (statistics.median(times), min(times), max(times), solves)
         results[wname] = row
 
-    print(f"\n{'workload':<28} {'solves':>7} " + " ".join(f"{b + ' (s)':>10}" for b in sorted(backends)))
+    names = sorted(backends)
+    print(f"\n{'workload':<28} {'solves':>7} "
+          + " ".join(f"{b + ' median (min-max) s':>28}" for b in names))
     for wname, row in results.items():
-        solves = next(iter(row.values()))[1]
-        cells = " ".join(f"{row[b][0]:>10.3f}" for b in sorted(row))
+        solves = next(iter(row.values()))[3]
+        cells = " ".join(
+            f"{f'{row[b][0]:.3f} ({row[b][1]:.3f}-{row[b][2]:.3f})':>28}" for b in names)
         print(f"{wname:<28} {solves:>7} {cells}")
     if "c" in backends and "py" in backends:
-        print("\nspeedup (py/c):")
+        print("\nspeedup (py/c, medians):")
         for wname, row in results.items():
             print(f"  {wname:<28} {row['py'][0] / row['c'][0]:6.1f}x")
 

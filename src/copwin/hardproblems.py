@@ -3,10 +3,10 @@
 Every solver is exact with an explicit instance-size precondition; the
 point of this module is oracle-grade ground truth next to instances
 whose game-measured width is small.  Where two independent routes
-exist (feedback-arc subset search vs ordering minimization, subset-DP
-Hamiltonicity vs permutation brute force, equivalent-subgraph search vs
-transitive reduction on DAGs) both are exposed so they can be played
-against each other.
+exist (feedback-arc ordering DP vs ordering branch-and-bound plus
+witness validator, subset-DP Hamiltonicity vs permutation brute force,
+equivalent-subgraph search vs transitive reduction on DAGs) both are
+exposed so they can be played against each other.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from .digraph import Digraph, closure_masks, induced_subgraph, is_acyclic
+from .digraph import Digraph, closure_masks, induced_subgraph, is_acyclic, reach_mask
 from .errors import SizeLimitError, StateBudgetExceededError
 from .solver import DEFAULT_STATE_BUDGET
 from .width import dag_width, kelly_width
@@ -67,23 +67,19 @@ def hamiltonian_cycle(d: Digraph) -> ProblemSolution:
         raise SizeLimitError(f"hamiltonian_cycle handles n <= {HAMILTONIAN_MAX_N}, got {n}")
     if n < 2:
         return ProblemSolution("hamiltonian_cycle", None, 0)
-    succ = d.succ_masks
     full = d.full_mask
     size = 1 << n
+    # ends[s]: the v in s with a path from 0 through exactly s ending at v
+    # (s odd).  Pull form: v is an end iff one of its predecessors ends s - v.
     ends = [0] * size
     ends[1] = 1
-    for s in range(1, size):
-        if not s & 1:
-            continue
-        e = ends[s]
-        while e:
-            low = e & -e
-            e ^= low
-            ext = succ[low.bit_length() - 1] & ~s
-            while ext:
-                lw = ext & -ext
-                ext ^= lw
-                ends[s | lw] |= lw
+    steps = [(1 << v, d.pred_masks[v]) for v in range(1, n)]
+    for s in range(3, size, 2):
+        e = 0
+        for bit, pred in steps:
+            if s & bit and ends[s ^ bit] & pred:
+                e |= bit
+        ends[s] = e
     finishers = ends[full] & d.pred_masks[0] & ~1
     if not finishers:
         return ProblemSolution("hamiltonian_cycle", None, 0)
@@ -151,28 +147,100 @@ def min_feedback_vertex_set(d: Digraph) -> ProblemSolution:
 # ---------------------------------------------------------------------------
 
 def min_feedback_arc_set(d: Digraph) -> ProblemSolution:
-    """Smallest arc set whose deletion breaks every cycle (subset search)."""
+    """Smallest arc set whose deletion breaks every cycle.
+
+    The value is the fewest backward arcs over vertex orderings, found
+    by an ordering DP per cyclic strong component.  The witness is the
+    first minimum set in ``itertools.combinations`` order over
+    ``d.arcs``: scanning the arcs in order, an arc joins it iff the rest
+    of the budget still suffices once it is deleted and every arc passed
+    over so far must stay.  For sets of equal size that order is decided
+    by the first arc in which they differ, so this greedy choice lands
+    on the first combination that breaks every cycle.
+    """
     if d.n > FAS_MAX_N and d.m > FAS_MAX_M:
         raise SizeLimitError(
             f"min_feedback_arc_set handles n <= {FAS_MAX_N} or m <= {FAS_MAX_M}; "
             f"got n={d.n}, m={d.m}"
         )
-    arcs = d.arcs
-    pred = d.pred_masks
-    full = d.full_mask
-    for size in range(d.m + 1):
-        for combo in itertools.combinations(range(d.m), size):
-            succ = list(d.succ_masks)
-            pred_mod = list(pred)
-            for i in combo:
-                u, v = arcs[i]
-                succ[u] &= ~(1 << v)
-                pred_mod[v] &= ~(1 << u)
-            if _acyclic_masks(succ, pred_mod, full):
-                return ProblemSolution(
-                    "feedback_arc_set", tuple(arcs[i] for i in combo), size
-                )
-    raise AssertionError("unreachable: deleting all arcs is acyclic")
+    succ = list(d.succ_masks)
+    pred = list(d.pred_masks)
+    kept = [0] * d.n  # per vertex, in-arcs that may not be deleted
+    value = budget = _backward_arc_number(succ, pred, kept, None)
+    witness = []
+    for u, v in d.arcs:
+        if not budget:
+            break
+        succ[u] ^= 1 << v
+        pred[v] ^= 1 << u
+        if _backward_arc_number(succ, pred, kept, budget - 1) is not None:
+            witness.append((u, v))
+            budget -= 1
+        else:
+            succ[u] ^= 1 << v
+            pred[v] ^= 1 << u
+            kept[v] |= 1 << u
+    return ProblemSolution("feedback_arc_set", tuple(witness), value)
+
+
+def _backward_arc_number(succ, pred, kept, limit):
+    """Fewest deletable backward arcs over orderings that keep every
+    ``kept`` arc forward, or None if that exceeds ``limit`` (None: no limit).
+
+    An arc between two strong components is forward in some optimal
+    ordering, so each cyclic component is ordered on its own.  Without
+    a limit, a component's bound is raised from 0 until its DP succeeds.
+    """
+    total = 0
+    seen = 0
+    for v in range(len(succ)):
+        if seen >> v & 1 or not (succ[v] and pred[v]):
+            continue
+        comp = reach_mask(succ, 1 << v, 0) & reach_mask(pred, 1 << v, 0)
+        seen |= comp
+        if comp == 1 << v:
+            continue
+        bound = 0 if limit is None else limit - total
+        cost = _ordering_dp(comp, pred, kept, bound)
+        while cost is None and limit is None:
+            bound += 1
+            cost = _ordering_dp(comp, pred, kept, bound)
+        if cost is None:
+            return None
+        total += cost
+    return total
+
+
+def _ordering_dp(comp, pred, kept, bound):
+    """Fewest backward arcs over orderings of ``comp``, or None above ``bound``.
+
+    A state is the set S placed first, with the fewest arcs into S from
+    vertices placed after it: those arcs are backward whatever follows,
+    so states above ``bound`` are dropped.  Placing v next adds v's
+    in-arcs from comp - S - v; a ``kept`` in-arc there forbids the move.
+    """
+    layer = {0: 0}
+    for _ in range(comp.bit_count()):
+        nxt = {}
+        for placed, cost in layer.items():
+            rest = comp ^ placed
+            f = rest
+            while f:
+                low = f & -f
+                f ^= low
+                v = low.bit_length() - 1
+                later = rest ^ low
+                if kept[v] & later:
+                    continue
+                c = cost + (pred[v] & later).bit_count()
+                if c <= bound:
+                    t = placed | low
+                    if c < nxt.get(t, c + 1):
+                        nxt[t] = c
+        if not nxt:
+            return None
+        layer = nxt
+    return layer[comp]
 
 
 def feedback_arc_number_by_orderings(d: Digraph) -> int:
@@ -236,21 +304,34 @@ def min_equivalent_subgraph(d: Digraph) -> ProblemSolution:
     if d.n > MES_MAX_N:
         raise SizeLimitError(f"min_equivalent_subgraph handles n <= {MES_MAX_N}, got {d.n}")
     target = closure_masks(d)
+    succ = list(d.succ_masks)
     mandatory = []
     optional = []
     for arc in d.arcs:
-        trimmed = Digraph(d.n, [a for a in d.arcs if a != arc])
-        if closure_masks(trimmed) == target:
-            optional.append(arc)
-        else:
-            mandatory.append(arc)
+        u, v = arc
+        succ[u] ^= 1 << v
+        (optional if _closure_equals(succ, target) else mandatory).append(arc)
+        succ[u] ^= 1 << v
+    base = [0] * d.n
+    for u, v in mandatory:
+        base[u] |= 1 << v
     for keep_count in range(len(optional) + 1):
         for kept in itertools.combinations(optional, keep_count):
-            candidate = Digraph(d.n, mandatory + list(kept))
-            if closure_masks(candidate) == target:
+            succ = list(base)
+            for u, v in kept:
+                succ[u] |= 1 << v
+            if _closure_equals(succ, target):
                 witness = tuple(sorted(mandatory + list(kept)))
                 return ProblemSolution("minimum_equivalent_subgraph", witness, len(witness))
     raise AssertionError("unreachable: keeping every optional arc restores D")
+
+
+def _closure_equals(succ, target):
+    """Whether every vertex reaches exactly its ``target`` row along ``succ``."""
+    for u, row in enumerate(target):
+        if reach_mask(succ, 1 << u, 0) != row:
+            return False
+    return True
 
 
 def transitive_reduction_dag(d: Digraph) -> Tuple[Tuple[int, int], ...]:

@@ -125,3 +125,30 @@ def enumerate_arc_lists(n):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     for bits in range(1 << len(pairs)):
         yield [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+
+
+def _arcs_acyclic(n, arcs):
+    """Kahn's test over an arc list: repeatedly drop a vertex with no in-arc."""
+    alive = set(range(n))
+    while True:
+        sources = {v for v in alive if not any(u in alive and w == v for u, w in arcs)}
+        if not sources:
+            return not alive
+        alive -= sources
+
+
+def naive_min_feedback_arc_set(n, arcs):
+    """First arc subset in itertools.combinations order over ``arcs``
+    (sorted lexicographically) whose deletion leaves an acyclic digraph.
+
+    Returns (size, witness tuple): the minimum feedback arc set that
+    ``min_feedback_arc_set`` must report, not just one of the same size.
+    """
+    arcs = sorted(arcs)
+    for size in range(len(arcs) + 1):
+        for combo in itertools.combinations(range(len(arcs)), size):
+            dropped = set(combo)
+            rest = [a for i, a in enumerate(arcs) if i not in dropped]
+            if _arcs_acyclic(n, rest):
+                return size, tuple(arcs[i] for i in combo)
+    raise AssertionError("unreachable: deleting all arcs is acyclic")

@@ -152,6 +152,17 @@ def test_hard_report(capsys, c3_file):
     assert lines[1].endswith("ok")
 
 
+def test_hard_report_bidirected_k6(capsys, tmp_path):
+    path = tmp_path / "k6.edges"
+    path.write_text("n 6\n" + "".join(
+        f"{u} {v}\n" for u in range(6) for v in range(6) if u != v))
+    code, out, _ = run_cli(capsys, "hard", "report", str(path))
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[6] == "15"  # fas
+    assert row[-1] == "ok"
+
+
 def test_gapscan_exhaustive_csv(capsys):
     code, out, err = run_cli(capsys, "gapscan", "--variant", "visible",
                              "--n", "2", "--exhaustive")

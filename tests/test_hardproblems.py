@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copwin.digraph import Digraph, bidirect, is_acyclic
 from copwin.errors import SizeLimitError
@@ -20,6 +23,7 @@ from copwin.hardproblems import (
 )
 from copwin.lab import enumerate_digraphs, random_digraph
 from copwin.reports import rows_to_csv
+from oracles import naive_min_feedback_arc_set
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 C5 = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -135,6 +139,36 @@ def test_fas_matches_oracle_random():
         assert validate_feedback_witness(d, sol)
 
 
+@st.composite
+def small_digraphs(draw, max_n=4):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    picks = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Digraph(n, picks)
+
+
+@settings(max_examples=150)
+@given(small_digraphs())
+def test_fas_witness_is_first_minimum_combination(d):
+    sol = min_feedback_arc_set(d)
+    assert (sol.value, sol.witness) == naive_min_feedback_arc_set(d.n, d.arcs)
+
+
+@pytest.mark.parametrize("n, value", [(6, 15), (7, 21)])
+def test_fas_bidirected_cliques(n, value):
+    d = bidirect(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    sol = min_feedback_arc_set(d)
+    assert sol.value == value == feedback_arc_number_by_orderings(d)
+    assert validate_feedback_witness(d, sol)
+
+
+def test_fas_orders_each_strong_component_alone():
+    # one DP over all 200 vertices would need 2^200 states
+    d = Digraph(200, [(i, (i + 1) % 10) for i in range(10)])
+    sol = min_feedback_arc_set(d)
+    assert (sol.value, sol.witness) == (1, ((0, 1),))
+
+
 def test_fas_size_limits():
     dense = bidirect(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
     assert dense.m == 42  # n=7 <= 9, so allowed despite m > 20
@@ -223,3 +257,56 @@ def test_width_annotated_report_empty():
     assert width_annotated_report([]) == []
     text = rows_to_csv(REPORT_FIELDS, [])
     assert text.splitlines()[0] == "instance,n,m,dagwidth,kellywidth,fvs,fas,ham,mes,status"
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+# ---------------------------------------------------------------------------
+
+# SHA-256 of (graph, problem, value, witness) for the exact solvers on
+# fixed graph streams, recorded from the subset-search FAS, push-form
+# Hamiltonian DP and Digraph-rebuilding MES search.  A faster solver
+# must return the same witnesses, not just the same values.
+#   sparse: every labeled digraph with n <= 3, then 100 random digraphs
+#           (n = 4..7, p <= 0.35), all four solvers;
+#   dense:  60 denser digraphs (n = 4..5 for FAS and MES, 5..12 for the
+#           Hamiltonian and FVS solvers).
+GOLDEN_HARD = {
+    "sparse": "10232c23fc9af88d4b344f40ddcf5051014a1555feb242ea26efce37b8f5cf3a",
+    "dense": "22d18b637e50030607c929948e11babbc75536b809f908513a2bfc1745623537",
+}
+
+
+GOLDEN_SOLVERS = (min_feedback_arc_set, hamiltonian_cycle,
+                  min_equivalent_subgraph, min_feedback_vertex_set)
+
+
+def _golden_sparse():
+    for n in range(4):
+        for d in enumerate_digraphs(n):
+            yield d, GOLDEN_SOLVERS
+    rng = random.Random(4)
+    for trial in range(100):
+        n = rng.randint(4, 7)
+        yield random_digraph(n, rng.choice((0.15, 0.25, 0.35)), 1000 + trial), GOLDEN_SOLVERS
+
+
+def _golden_dense():
+    rng = random.Random(5)
+    for trial in range(60):
+        p = rng.choice((0.5, 0.65, 0.8))
+        small = random_digraph(rng.randint(4, 5), p, 2000 + trial)
+        yield small, (min_feedback_arc_set, min_equivalent_subgraph)
+        big = random_digraph(rng.randint(5, 12), p, 3000 + trial)
+        yield big, (hamiltonian_cycle, min_feedback_vertex_set)
+
+
+@pytest.mark.parametrize("stream", ["sparse", "dense"])
+def test_hard_solvers_golden_digest(stream):
+    source = _golden_sparse() if stream == "sparse" else _golden_dense()
+    h = hashlib.sha256()
+    for d, solvers in source:
+        for solve in solvers:
+            sol = solve(d)
+            h.update(repr((d.n, d.arcs, sol.problem, sol.value, sol.witness)).encode())
+    assert h.hexdigest() == GOLDEN_HARD[stream]

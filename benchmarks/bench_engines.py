@@ -3,19 +3,21 @@
 Run:  python benchmarks/bench_engines.py [--repeats N]
 
 Workloads mirror real use: the n=4 census slice, cycle solves at
-moderate cop counts, and the bidirected-clique cross-check instances.
+moderate cop counts, the bidirected-clique cross-check instances, and
+n=9 visible arenas whose strong components are large.
 Each backend runs each workload N times (default 5); the table shows
 the median and the min-max range, and the speedup is the ratio of the
 medians.
 """
 import argparse
+import random
 import statistics
 import time
 
 from copwin.bits import subsets_upto
 from copwin.digraph import Digraph, bidirect
 from copwin.engine import available_backends
-from copwin.lab import enumerate_digraphs
+from copwin.lab import enumerate_digraphs, random_digraph
 
 BUDGET = 50_000_000
 
@@ -62,10 +64,26 @@ def workload_cliques(backend):
     return count
 
 
+def workload_visible_n9(backend):
+    rng = random.Random(25)
+    graphs = [
+        random_digraph(9, 0.3, 1),
+        bidirect(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.3]),
+    ]
+    moves = subsets_upto(9, 3)
+    count = 0
+    for d in graphs:
+        for mono in (False, True):
+            backend.solve_visible(d.succ_masks, d.pred_masks, d.n, moves, mono, False, BUDGET)
+            count += 1
+    return count
+
+
 WORKLOADS = [
     ("n=4 census slice", workload_census),
     ("directed cycles C5..C8", workload_cycles),
     ("bidirected cliques K4..K6", workload_cliques),
+    ("visible arenas n=9, k=3", workload_visible_n9),
 ]
 
 

@@ -22,6 +22,25 @@ invisible kernel builds a guard's row at the guard's n-th meeting and
 searches directly before that, so a guard met only a few times (the
 single transition of a 0-cop fast-robber search, say) never pays n
 BFS calls.
+
+Strong-component quotient of the visible arena.  The visible kernel
+solves one position per (cop set C, strong component of D - C), not one
+per (C, robber vertex); a component is a *class*, read off the row of
+the guard C (u and v share a class iff each reaches the other), and is
+represented by its lowest vertex.  This is exact: two vertices of one
+class reach each other while avoiding C, hence while avoiding every
+guard C & C', so they have the same robber options, the same
+strong-confinement options and the same monotone territory for every
+cop move.  Every robber response is a union of classes of D - C', so
+each is linked once per class, and all members of a class win in the
+same round with the same smallest-index move.  Expanding a class's move
+to its members gives the strategy map the vertex-level attractor gives.
+``transitions`` and the budget still count the unquotiented arena: each
+class records one member's count (1 per cop move tried, plus the number
+of robber responses of each move kept), the robber vertices are walked
+in order adding their class's count, and the class whose count crosses
+the budget is replayed move by move, so a budget error carries the same
+(budget, explored) pair as the vertex-level count.
 """
 from __future__ import annotations
 
@@ -74,116 +93,185 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
     (cops_win, strategy, transitions) where strategy maps (cop_mask,
     robber) -> move mask for every cop-winning position, picking the
     fastest-capture move and breaking ties by the canonical move order.
+    The attractor itself runs on the strong-component quotient (see the
+    module docstring).
     """
     m = len(moves)
     num_pos = m * n
     if num_pos * m > budget:
         raise StateBudgetExceededError(budget, num_pos * m)
-
-    transitions = 0
-    fwd_rows = {}
-    bwd_rows = {}
-    # robber territory at (C, r) is space[C][r], needed only to enforce
-    # monotone transitions (every move is its own guard: C & C = C)
-    space = [_rows(fwd_rows, succ, n, cj) for cj in moves] if monotone else None
-
-    win_round = [0] * num_pos
-    best_move = [-1] * num_pos
-    cnt = [0] * (num_pos * m)
-    rev = [[] for _ in range(num_pos)]
-    queue = []
+    if m == 1:  # only the empty cop set: no transitions, no capture
+        return n == 0, ({} if n == 0 else None), 0
 
     full = (1 << n) - 1
-    for ci in range(m):
-        cmask = moves[ci]
+    fwd_rows = {}
+    bwd_rows = {}
+    # classes of D - C for every cop set C, from the row of the guard C
+    # (the robber's territory, also the monotone "space" table)
+    space = [None] * m
+    cls_id = [None] * m    # per cop set: vertex -> class id
+    cls_mask = [None] * m  # per cop set: vertex -> its class's vertex mask
+    first = [0] * (m + 1)  # classes of cop set ci are first[ci]..first[ci + 1] - 1
+    reps = []
+    for ci, cmask in enumerate(moves):
+        first[ci] = len(reps)
         if cmask == full:  # no robber spot left
             continue
-        base = ci * n
-        # rows of the guards C & C' for every C' != C, shared by all robber spots
-        fwd = [_rows(fwd_rows, succ, n, cmask & cj) if j != ci else None
-               for j, cj in enumerate(moves)]
-        bwd = [_rows(bwd_rows, pred, n, cmask & cj) if j != ci else None
-               for j, cj in enumerate(moves)] if strong else None
-        for r in range(n):
-            if cmask >> r & 1:
-                continue
-            pid = base + r
+        row = space[ci] = _rows(fwd_rows, succ, n, cmask)
+        ids = [-1] * n
+        masks = [0] * n
+        left = full & ~cmask
+        while left:
+            r = (left & -left).bit_length() - 1
+            cls = 0
+            f = row[r]
+            while f:
+                low = f & -f
+                if row[low.bit_length() - 1] >> r & 1:
+                    cls |= low
+                f ^= low
+            q = len(reps)
+            reps.append(r)
+            f = cls
+            while f:
+                low = f & -f
+                u = low.bit_length() - 1
+                ids[u] = q
+                masks[u] = cls
+                f ^= low
+            left &= ~cls
+        cls_id[ci] = ids
+        cls_mask[ci] = masks
+    first[m] = num_cls = len(reps)
+
+    transitions = 0
+    win_round = [0] * num_cls
+    best_move = [-1] * num_cls
+    cnt = [0] * (num_cls * m)
+    rev = [[] for _ in range(num_cls)]
+    added = [0] * num_cls  # unquotiented transitions of one member
+    queue = []
+
+    for ci in range(m):
+        cmask = moves[ci]
+        if cmask == full:
+            continue
+        # rows of the guards C & C' for every C', shared by all classes
+        # (a row is a non-empty list, since m > 1 implies n > 0)
+        fwd = [fwd_rows.get(cmask & cj) or _rows(fwd_rows, succ, n, cmask & cj)
+               for cj in moves]
+        bwd = [bwd_rows.get(cmask & cj) or _rows(bwd_rows, pred, n, cmask & cj)
+               for cj in moves] if strong else None
+        s_row = space[ci]
+        for q in range(first[ci], first[ci + 1]):
+            r = reps[q]
+            s_old = s_row[r]
+            tried = 0
             for j in range(m):
                 if j == ci:  # C' = C never changes any state
                     continue
                 cj = moves[j]
-                transitions += 1
-                if transitions > budget:
-                    raise StateBudgetExceededError(budget, transitions)
+                tried += 1
                 opts = fwd[j][r]
                 if strong:
                     opts &= bwd[j][r]
                 opts &= ~cj
                 if opts == 0:
                     # capture: rank-1 win, no later move can beat it
-                    win_round[pid] = 1
-                    best_move[pid] = j
-                    queue.append(pid)
+                    win_round[q] = 1
+                    best_move[q] = j
+                    queue.append(q)
                     break
+                masks = cls_mask[j]
                 if monotone:
-                    s_old = space[ci][r]
                     space_j = space[j]
                     f = opts
                     vetoed = False
                     while f:
-                        low = f & -f
-                        if space_j[low.bit_length() - 1] & ~s_old:
+                        x = (f & -f).bit_length() - 1
+                        if space_j[x] & ~s_old:
                             vetoed = True
                             break
-                        f ^= low
+                        f &= ~masks[x]
                     if vetoed:
                         continue  # some response re-grows the territory: losing move
-                rid = pid * m + j
-                jbase = j * n
+                rid = q * m + j
+                ids = cls_id[j]
                 deg = 0
                 f = opts
                 while f:
-                    low = f & -f
-                    rev[jbase + (low.bit_length() - 1)].append(rid)
+                    x = (f & -f).bit_length() - 1
+                    rev[ids[x]].append(rid)
                     deg += 1
-                    f ^= low
-                transitions += deg
-                if transitions > budget:
-                    raise StateBudgetExceededError(budget, transitions)
+                    f &= ~masks[x]
                 cnt[rid] = deg
+                tried += opts.bit_count()
+            added[q] = tried
+        # count the unquotiented arena: every robber spot in vertex order
+        ids = cls_id[ci]
+        for r in range(n):
+            if cmask >> r & 1:
+                continue
+            q = ids[r]
+            if transitions + added[q] > budget:
+                _raise_within(budget, transitions, q, ci, reps[q], moves, fwd, bwd, cnt)
+            transitions += added[q]
 
-    # backward induction: FIFO processes positions in nondecreasing round order
+    # backward induction: FIFO processes classes in nondecreasing round order
     head = 0
     while head < len(queue):
-        pid2 = queue[head]
+        q2 = queue[head]
         head += 1
-        t = win_round[pid2]
-        for rid in rev[pid2]:
+        t = win_round[q2]
+        for rid in rev[q2]:
             c = cnt[rid] - 1
             cnt[rid] = c
             if c == 0:
-                pid = rid // m
-                j = rid - pid * m
-                if win_round[pid] == 0:
-                    win_round[pid] = t + 1
-                    best_move[pid] = j
-                    queue.append(pid)
-                elif win_round[pid] == t + 1 and j < best_move[pid]:
-                    best_move[pid] = j
+                q = rid // m
+                j = rid - q * m
+                if win_round[q] == 0:
+                    win_round[q] = t + 1
+                    best_move[q] = j
+                    queue.append(q)
+                elif win_round[q] == t + 1 and j < best_move[q]:
+                    best_move[q] = j
 
-    cops_win = all(win_round[r] for r in range(n))  # moves[0] is the empty set
-    if not cops_win:
+    ids = cls_id[0]  # moves[0] is the empty set
+    if not all(win_round[ids[r]] for r in range(n)):
         return False, None, transitions
     strategy = {}
     for ci in range(m):
         cmask = moves[ci]
-        base = ci * n
+        if cmask == full:
+            continue
+        ids = cls_id[ci]
         for r in range(n):
             if cmask >> r & 1:
                 continue
-            if win_round[base + r]:
-                strategy[(cmask, r)] = moves[best_move[base + r]]
+            q = ids[r]
+            if win_round[q]:
+                strategy[(cmask, r)] = moves[best_move[q]]
     return True, strategy, transitions
+
+
+def _raise_within(budget, explored, q, ci, r, moves, fwd, bwd, cnt):
+    """Replay one member's transitions from ``explored`` and raise where the
+    running count first passes ``budget``, as the vertex-level count would."""
+    m = len(moves)
+    for j in range(m):
+        if j == ci:
+            continue
+        explored += 1
+        if explored > budget:  # a capture is always the last move tried
+            break
+        if cnt[q * m + j]:
+            opts = fwd[j][r] & ~moves[j]
+            if bwd is not None:
+                opts &= bwd[j][r]
+            explored += opts.bit_count()
+            if explored > budget:
+                break
+    raise StateBudgetExceededError(budget, explored)
 
 
 def solve_invisible(succ, n, moves, lazy, monotone, budget):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -272,6 +271,10 @@ def _scan_records(graphs, variant, state_budget, jobs, measure_runtime, verify):
     if jobs > 1:
         tasks = list(tasks)
         if len(tasks) > 1:
+            # imported here: the pool pulls in multiprocessing, which no
+            # serial scan needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 yield from pool.map(_scan_one, tasks, chunksize=16)
             return

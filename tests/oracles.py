@@ -2,9 +2,14 @@
 
 Everything here is deliberately naive and shares no code with the
 package internals: plain frozensets, itertools enumeration, fixpoint
-iteration from below.  Only usable at tiny sizes.
+iteration from below.  Only usable at tiny sizes.  The one exception is
+``naive_solve_visible``, the vertex-level visible attractor on bit masks,
+kept with its own reachability helpers as the reference for the kernel's
+strong-component quotient.
 """
 import itertools
+
+from copwin.errors import StateBudgetExceededError
 
 
 def set_reach(arcs, sources, forbidden):
@@ -152,3 +157,150 @@ def naive_min_feedback_arc_set(n, arcs):
             if _arcs_acyclic(n, rest):
                 return size, tuple(arcs[i] for i in combo)
     raise AssertionError("unreachable: deleting all arcs is acyclic")
+
+
+def _reach_mask(succ, src, forbidden):
+    closed = src & ~forbidden
+    frontier = closed
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= succ[low.bit_length() - 1]
+            f ^= low
+        frontier = nxt & ~forbidden & ~closed
+        closed |= frontier
+    return closed
+
+
+def _rows(cache, adj, n, guard):
+    row = cache.get(guard)
+    if row is None:
+        row = cache[guard] = [_reach_mask(adj, 1 << v, guard) for v in range(n)]
+    return row
+
+
+def naive_solve_visible(succ, pred, n, moves, monotone, strong, budget):
+    """Vertex-level attractor over the visible fast-robber arena.
+
+    One position per (cop set, robber vertex).  ``pykernels.solve_visible``
+    solves the strong-component quotient instead and must return exactly
+    this, including the transition count and the (budget, explored) pair
+    of a budget error.
+
+    Positions are (cop set, robber vertex) with the cops to move; the
+    robber answers each cop move with any legal landing spot.  Returns
+    (cops_win, strategy, transitions) where strategy maps (cop_mask,
+    robber) -> move mask for every cop-winning position, picking the
+    fastest-capture move and breaking ties by the canonical move order.
+    """
+    m = len(moves)
+    num_pos = m * n
+    if num_pos * m > budget:
+        raise StateBudgetExceededError(budget, num_pos * m)
+
+    transitions = 0
+    fwd_rows = {}
+    bwd_rows = {}
+    # robber territory at (C, r) is space[C][r], needed only to enforce
+    # monotone transitions (every move is its own guard: C & C = C)
+    space = [_rows(fwd_rows, succ, n, cj) for cj in moves] if monotone else None
+
+    win_round = [0] * num_pos
+    best_move = [-1] * num_pos
+    cnt = [0] * (num_pos * m)
+    rev = [[] for _ in range(num_pos)]
+    queue = []
+
+    full = (1 << n) - 1
+    for ci in range(m):
+        cmask = moves[ci]
+        if cmask == full:  # no robber spot left
+            continue
+        base = ci * n
+        # rows of the guards C & C' for every C' != C, shared by all robber spots
+        fwd = [_rows(fwd_rows, succ, n, cmask & cj) if j != ci else None
+               for j, cj in enumerate(moves)]
+        bwd = [_rows(bwd_rows, pred, n, cmask & cj) if j != ci else None
+               for j, cj in enumerate(moves)] if strong else None
+        for r in range(n):
+            if cmask >> r & 1:
+                continue
+            pid = base + r
+            for j in range(m):
+                if j == ci:  # C' = C never changes any state
+                    continue
+                cj = moves[j]
+                transitions += 1
+                if transitions > budget:
+                    raise StateBudgetExceededError(budget, transitions)
+                opts = fwd[j][r]
+                if strong:
+                    opts &= bwd[j][r]
+                opts &= ~cj
+                if opts == 0:
+                    # capture: rank-1 win, no later move can beat it
+                    win_round[pid] = 1
+                    best_move[pid] = j
+                    queue.append(pid)
+                    break
+                if monotone:
+                    s_old = space[ci][r]
+                    space_j = space[j]
+                    f = opts
+                    vetoed = False
+                    while f:
+                        low = f & -f
+                        if space_j[low.bit_length() - 1] & ~s_old:
+                            vetoed = True
+                            break
+                        f ^= low
+                    if vetoed:
+                        continue  # some response re-grows the territory: losing move
+                rid = pid * m + j
+                jbase = j * n
+                deg = 0
+                f = opts
+                while f:
+                    low = f & -f
+                    rev[jbase + (low.bit_length() - 1)].append(rid)
+                    deg += 1
+                    f ^= low
+                transitions += deg
+                if transitions > budget:
+                    raise StateBudgetExceededError(budget, transitions)
+                cnt[rid] = deg
+
+    # backward induction: FIFO processes positions in nondecreasing round order
+    head = 0
+    while head < len(queue):
+        pid2 = queue[head]
+        head += 1
+        t = win_round[pid2]
+        for rid in rev[pid2]:
+            c = cnt[rid] - 1
+            cnt[rid] = c
+            if c == 0:
+                pid = rid // m
+                j = rid - pid * m
+                if win_round[pid] == 0:
+                    win_round[pid] = t + 1
+                    best_move[pid] = j
+                    queue.append(pid)
+                elif win_round[pid] == t + 1 and j < best_move[pid]:
+                    best_move[pid] = j
+
+    cops_win = all(win_round[r] for r in range(n))  # moves[0] is the empty set
+    if not cops_win:
+        return False, None, transitions
+    strategy = {}
+    for ci in range(m):
+        cmask = moves[ci]
+        base = ci * n
+        for r in range(n):
+            if cmask >> r & 1:
+                continue
+            if win_round[base + r]:
+                strategy[(cmask, r)] = moves[best_move[base + r]]
+    return True, strategy, transitions

@@ -274,3 +274,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("copwin ")
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only ``gapscan --jobs N`` with N > 1 needs the pool and multiprocessing
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, copwin.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('concurrent.futures')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ import pytest
 from copwin.bits import subsets_upto
 from copwin.engine import available_backends, get_backend, pykernels
 from copwin.errors import StateBudgetExceededError
+from oracles import naive_solve_visible
 
 HAVE_C = "c" in available_backends()
 
@@ -86,6 +87,42 @@ def test_invisible_golden_digest(budgets):
                         succ, n, moves, lazy, mono, budget))
                     h.update(repr(entry).encode())
     assert h.hexdigest() == GOLDEN_INVISIBLE[budgets]
+
+
+def _dense_instance(rng, n, p, bidirected):
+    succ = [0] * n
+    pred = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if u != v and (u < v or not bidirected) and rng.random() < p:
+                for a, b in ((u, v), (v, u)) if bidirected else ((u, v),):
+                    succ[a] |= 1 << b
+                    pred[b] |= 1 << a
+    return succ, pred
+
+
+def test_visible_quotient_matches_vertex_level_oracle():
+    # Dense n = 7..9 graphs put many robber spots in one strong component
+    # of D - C, unlike the n <= 6 digest streams.  The budgets cut the
+    # solve at the pre-flight, a third of the way, one transition short
+    # and exactly at the end, pinning the (budget, explored) pair.
+    rng = random.Random(5)
+    cases = [(7, 3), (7, 3), (8, 2), (8, 3), (9, 2), (9, 2)]
+    for trial, (n, k) in enumerate(cases):
+        for bidirected in (False, True):
+            p = rng.choice([0.3, 0.4, 0.5, 0.6])
+            succ, pred = _dense_instance(rng, n, p, bidirected)
+            moves = subsets_upto(n, k)
+            for mono in (False, True):
+                for strong in (False, True):
+                    args = (succ, pred, n, moves, mono, strong)
+                    expect = naive_solve_visible(*args, 10**9)
+                    assert pykernels.solve_visible(*args, 10**9) == expect
+                    total = expect[2]
+                    for budget in (1, total // 3, total - 1, total):
+                        want = _golden_entry(lambda: naive_solve_visible(*args, budget))
+                        got = _golden_entry(lambda: pykernels.solve_visible(*args, budget))
+                        assert got == want, (trial, bidirected, mono, strong, budget)
 
 
 @needs_c

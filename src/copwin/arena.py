@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Tuple, Union
 
-from .bits import iter_bits, mask_from
 from .digraph import Digraph, reach_mask
 from .errors import UnsupportedVariantError
 
@@ -108,48 +106,6 @@ _NAMED = {
 }
 
 
-@dataclass(frozen=True)
-class VisiblePosition:
-    """Cop-to-move state of the visible game: cop set plus robber vertex."""
-
-    cops: FrozenSet[int]
-    robber: int
-
-    def __post_init__(self):
-        if self.robber in self.cops:
-            raise ValueError("robber may not share a vertex with a cop")
-
-
-@dataclass(frozen=True)
-class ContaminationState:
-    """State of the invisible games: cop set plus possible robber locations."""
-
-    cops: FrozenSet[int]
-    contaminated: FrozenSet[int]
-
-    def __post_init__(self):
-        if self.cops & self.contaminated:
-            raise ValueError("contamination must be disjoint from the cop set")
-
-
-def cop_moves(d: Digraph, k: int) -> Iterator[FrozenSet[int]]:
-    """All cop sets of size at most k, each exactly once.
-
-    Enumeration follows the lexicographic order of ascending vertex
-    tuples (empty set first), the canonical order used by the solver.
-    """
-    _check_budget(d, k)
-
-    def rec(start: int, cur: Tuple[int, ...]) -> Iterator[FrozenSet[int]]:
-        yield frozenset(cur)
-        if len(cur) == k:
-            return
-        for v in range(start, d.n):
-            yield from rec(v + 1, cur + (v,))
-
-    return rec(0, ())
-
-
 def robber_options_mask(
     d: Digraph, c_mask: int, c_next_mask: int, r: int, strong: bool = False
 ) -> int:
@@ -159,30 +115,6 @@ def robber_options_mask(
     if strong:
         opts &= reach_mask(d.pred_masks, 1 << r, guard)
     return opts & ~c_next_mask
-
-
-def robber_options(
-    d: Digraph,
-    cops: Iterable[int],
-    next_cops: Iterable[int],
-    robber: int,
-    confinement: Confinement = Confinement.REACHABILITY,
-) -> FrozenSet[int]:
-    """Where the visible robber can end up; empty result means capture.
-
-    The robber runs along directed paths avoiding only the stationary
-    cops C & C' and must stop outside C'.  Under strong-component
-    confinement he additionally stays inside his strong component of
-    D - (C & C').
-    """
-    c = mask_from(cops)
-    cn = mask_from(next_cops)
-    if c >> robber & 1:
-        raise ValueError("robber starts on a cop")
-    opts = robber_options_mask(
-        d, c, cn, robber, strong=confinement is Confinement.STRONG_COMPONENT
-    )
-    return frozenset(iter_bits(opts))
 
 
 def contaminate_mask(
@@ -195,57 +127,3 @@ def contaminate_mask(
         fled = reach_mask(d.succ_masks, hit, guard) if hit else 0
         return (r_mask | fled) & ~c_next_mask
     return reach_mask(d.succ_masks, r_mask, guard) & ~c_next_mask
-
-
-def contaminate(
-    d: Digraph,
-    cops: Iterable[int],
-    next_cops: Iterable[int],
-    contaminated: Iterable[int],
-    agility: Agility,
-) -> FrozenSet[int]:
-    """Update the invisible robber's possible locations across a cop move.
-
-    Lazy: only robbers about to be landed on run, along paths avoiding
-    the stationary cops.  Fast: every potential robber runs.  Either
-    way nobody may stop on C'.
-    """
-    c = mask_from(cops)
-    cn = mask_from(next_cops)
-    r = mask_from(contaminated)
-    if r & c:
-        raise ValueError("contamination overlaps the current cop set")
-    return frozenset(iter_bits(contaminate_mask(d, c, cn, r, agility is Agility.LAZY)))
-
-
-def robber_space(d: Digraph, cops: Iterable[int], robber: int) -> FrozenSet[int]:
-    """Territory available to the visible robber: reach of r in D - C."""
-    c = mask_from(cops)
-    if c >> robber & 1:
-        raise ValueError("robber starts on a cop")
-    return frozenset(iter_bits(reach_mask(d.succ_masks, 1 << robber, c)))
-
-
-def is_monotone_transition(old: Iterable[int], new: Iterable[int]) -> bool:
-    """True iff the robber's territory did not grow (new subset of old)."""
-    return mask_from(new) & ~mask_from(old) == 0
-
-
-def initial_state(
-    d: Digraph, variant: GameVariant
-) -> Union[Tuple[VisiblePosition, ...], ContaminationState]:
-    """Start-of-game configuration.
-
-    Visible games: one cop-to-move position per robber choice (the
-    solver quantifies over all of them; empty tuple for n = 0 means the
-    cops win vacuously).  Invisible games: no cops, everything
-    contaminated.
-    """
-    if variant.visibility is Visibility.VISIBLE:
-        return tuple(VisiblePosition(frozenset(), r) for r in range(d.n))
-    return ContaminationState(frozenset(), frozenset(range(d.n)))
-
-
-def _check_budget(d: Digraph, k: int) -> None:
-    if not 0 <= k <= d.n:
-        raise ValueError(f"cop budget {k} outside 0..{d.n}")

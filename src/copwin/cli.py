@@ -81,7 +81,7 @@ def _build_parser():
                            help="restrict the cops to monotone strategies")
         p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
                        help=f"arena-transition budget (default {DEFAULT_STATE_BUDGET})")
-        p.add_argument("--engine", default=None, help="kernel backend: c | py (default: best)")
+        p.add_argument("--engine", default=None, help="kernel backend: py (the only one)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("solve", help="decide the winner for a fixed cop count")

@@ -1,12 +1,10 @@
 """Kernel backend selection.
 
-Two interchangeable backends implement the solver kernels: ``py`` (pure
-Python, always available) and ``c`` (Cython extension, built at install
-time).  The compiled backend is preferred when importable; the
-environment variable COPWIN_ENGINE=py|c forces a choice.  The compiled
-kernels cap n at 62 vertices (one machine word per vertex set); the
-pure backend has no such limit, and the selector falls back to it for
-oversized inputs.
+One backend implements the solver kernels: ``py``, pure Python, always
+available.  ``get_backend`` and the ``--engine`` option of the CLI stay
+the seam where a compiled backend would plug in; the environment
+variable COPWIN_ENGINE names the default and is checked against the
+available backends.
 """
 from __future__ import annotations
 
@@ -14,16 +12,7 @@ import os
 
 from . import pykernels
 
-_C_MAX_N = 62
-
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _ckernels
-except ImportError:  # pragma: no cover
-    _ckernels = None
-
 _BACKENDS = {"py": pykernels}
-if _ckernels is not None:
-    _BACKENDS["c"] = _ckernels
 
 
 def available_backends():
@@ -38,17 +27,14 @@ def default_backend_name() -> str:
                 f"COPWIN_ENGINE={env!r} not available; choices: {sorted(_BACKENDS)}"
             )
         return env
-    return "c" if "c" in _BACKENDS else "py"
+    return "py"
 
 
-def get_backend(name=None, n=None):
-    """Resolve a backend by name (or the default), honoring size limits."""
+def get_backend(name=None):
+    """Resolve a backend by name, or the default one."""
     if name is None:
         name = default_backend_name()
     try:
-        backend = _BACKENDS[name]
+        return _BACKENDS[name]
     except KeyError:
         raise ValueError(f"unknown engine {name!r}; choices: {sorted(_BACKENDS)}") from None
-    if backend is not pykernels and n is not None and n > _C_MAX_N:
-        return pykernels
-    return backend

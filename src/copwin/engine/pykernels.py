@@ -2,9 +2,9 @@
 
 These are the hot loops: bit-mask reachability, the backward-induction
 attractor for the visible game, and the breadth-first contamination
-search for the invisible games.  ``_ckernels`` is the compiled twin;
-both backends must return identical winners, strategies, sequences and
-transition counts, which the parity tests enforce.
+search for the invisible games.  There is no compiled twin; the former
+kernels in ``tests/oracles.py`` (``naive_solve_visible``,
+``naive_solve_invisible``) are the references they are tested against.
 
 Kernel inputs are already lowered: successor/predecessor masks, a
 canonically ordered cop-move list, plain ints everywhere.
@@ -41,6 +41,28 @@ of robber responses of each move kept), the robber vertices are walked
 in order adding their class's count, and the class whose count crosses
 the budget is replayed move by move, so a budget error carries the same
 (budget, explored) pair as the vertex-level count.
+
+One-vertex moves in the plain invisible games.  In plain mode the
+contamination search tries, from a state (C, R), only the cop sets one
+lift or one placement away from C (placements while |C| < k), so a
+state has at most n successors instead of one per cop set of size at
+most k.  The value is unchanged.  Any move C -> C' can be played as the
+lifts of C - C' one at a time, then the placements of C' - C one at a
+time.  Every robber run in between avoids a superset of the guard
+C & C' and starts where a run of the one-shot move starts or at a
+vertex such a run reaches, so the contamination after the steps is a
+subset of the one-shot R'.  In plain play, cops that win from R also
+win from every subset of R, because the contamination update is
+monotone in R.  So the one-vertex search finds a win iff the
+all-subsets search does; its sequences are longer and pass the same
+verifier.  Monotone play is not covered: monotonicity is checked per
+step, and an intermediate placement may recontaminate a vertex that the
+one-shot move keeps clean, so monotone mode still tries every cop set
+in ``moves``.  The steps are cheap: an inert robber runs only from a
+placed cop's vertex, avoiding C; a fast robber's contamination is
+always closed under reach avoiding C, so a placement just removes the
+vertex, and a lift lets robbers out only through the lifted vertex, and
+only if R has an arc into it.
 """
 from __future__ import annotations
 
@@ -278,41 +300,64 @@ def solve_invisible(succ, n, moves, lazy, monotone, budget):
     """Breadth-first search over contamination states (C, R) from (0, V).
 
     Single-player: the cops win iff some move sequence empties R.
-    Returns (cops_win, sequence_of_move_masks, transitions); the BFS
-    plus canonical move order makes the found sequence deterministic
-    (shortest, then earliest in move order).
+    Returns (cops_win, sequence_of_cop_masks, transitions).  Monotone
+    play tries every cop set in ``moves`` from each state, plain play
+    only the cop sets one lift or one placement away (see the module
+    docstring).  BFS plus the fixed move order makes the found sequence
+    deterministic: shortest, then earliest in move order.
     """
     full = (1 << n) - 1
     if full == 0:
         return True, [], 0
-    m = len(moves)
-    start_key = full  # cop-set index 0, contamination V
-    seen = {start_key}
-    state_ci = [0]
+    if not monotone:
+        k = max(c.bit_count() for c in moves)  # moves: every cop set of size <= k
+        toggles = {}
+        if not lazy:
+            pred = [0] * n
+            for u in range(n):
+                f = succ[u]
+                while f:
+                    low = f & -f
+                    pred[low.bit_length() - 1] |= 1 << u
+                    f ^= low
+    seen = {full}  # key (C << n) | R; the start has C = 0, R = V
+    state_c = [0]
     state_r = [full]
     parent = [-1]
-    parent_move = [-1]
     transitions = 0
     rows = {}
     met = {}
     head = 0
-    while head < len(state_ci):
-        ci = state_ci[head]
+    while head < len(state_c):
+        cmask = state_c[head]
         rmask = state_r[head]
         sid = head
         head += 1
-        cmask = moves[ci]
-        for j in range(m):
-            if lazy and j == ci:  # inert robbers never move on their own
+        if monotone:
+            cands = moves
+        else:
+            cands = toggles.get(cmask)
+            if cands is None:
+                cands = toggles[cmask] = _toggles(n, k, cmask)
+        for cj in cands:
+            if lazy and cj == cmask:  # inert robbers never move on their own
                 continue
-            cj = moves[j]
             transitions += 1
             if transitions > budget:
                 raise StateBudgetExceededError(budget, transitions)
             # robbers run from the vertices C' lands on (lazy) or from
             # everywhere (fast); the reach is the OR of the source rows
+            if lazy:
+                f = rmask & cj
+            elif monotone:
+                f = rmask
+            else:
+                # R is closed under reach avoiding C, so only a lifted
+                # cop's vertex, entered from R, lets robbers out
+                f = cmask & ~cj
+                if f and not pred[f.bit_length() - 1] & rmask:
+                    f = 0
             rp = rmask
-            f = rmask & cj if lazy else rmask
             if f:
                 guard = cmask & cj
                 row = rows.get(guard)
@@ -332,15 +377,27 @@ def solve_invisible(succ, n, moves, lazy, monotone, budget):
                 seq = [cj]
                 cur = sid
                 while cur > 0:
-                    seq.append(moves[parent_move[cur]])
+                    seq.append(state_c[cur])
                     cur = parent[cur]
                 seq.reverse()
                 return True, seq, transitions
-            key = (j << n) | rp
+            key = (cj << n) | rp
             if key not in seen:
                 seen.add(key)
-                state_ci.append(j)
+                state_c.append(cj)
                 state_r.append(rp)
                 parent.append(sid)
-                parent_move.append(j)
     return False, None, transitions
+
+
+def _toggles(n, k, cmask):
+    """Cop sets one lift or one placement away from ``cmask``, in vertex order."""
+    if cmask.bit_count() < k:
+        return [cmask ^ (1 << v) for v in range(n)]
+    out = []
+    f = cmask
+    while f:
+        low = f & -f
+        out.append(cmask ^ low)
+        f ^= low
+    return out

@@ -190,7 +190,7 @@ def solve(
     """Decide the winner with k cops; certificate attached to cop wins."""
     if not 0 <= k <= d.n:
         raise ValueError(f"cop budget {k} outside 0..{d.n}")
-    backend = get_backend(engine, n=d.n)
+    backend = get_backend(engine)
     # refuse obviously hopeless instances before materializing the move list
     move_count = sum(math.comb(d.n, i) for i in range(k + 1))
     if variant.visibility is Visibility.VISIBLE:
@@ -224,30 +224,6 @@ def solve(
         body=tuple(mask_to_tuple(c) for c in seq),
     )
     return Outcome(Winner.COPS, cert, transitions)
-
-
-def solve_visible(
-    d: Digraph,
-    k: int,
-    confinement: Confinement = Confinement.REACHABILITY,
-    monotone: bool = False,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    engine: Optional[str] = None,
-) -> Outcome:
-    variant = GameVariant(Visibility.VISIBLE, Agility.FAST, confinement)
-    return solve(d, k, variant, monotone, state_budget, engine)
-
-
-def solve_invisible(
-    d: Digraph,
-    k: int,
-    agility: Agility = Agility.LAZY,
-    monotone: bool = False,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    engine: Optional[str] = None,
-) -> Outcome:
-    variant = GameVariant(Visibility.INVISIBLE, agility)
-    return solve(d, k, variant, monotone, state_budget, engine)
 
 
 def cop_number(

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive and shares no code with the
 package internals: plain frozensets, itertools enumeration, fixpoint
-iteration from below.  Only usable at tiny sizes.  The one exception is
-``naive_solve_visible``, the vertex-level visible attractor on bit masks,
-kept with its own reachability helpers as the reference for the kernel's
-strong-component quotient.
+iteration from below.  Only usable at tiny sizes.  The two exceptions
+are the former kernels on bit masks, kept with their own reachability
+helpers: ``naive_solve_visible``, the vertex-level visible attractor,
+the reference for the kernel's strong-component quotient; and
+``naive_solve_invisible``, the contamination search over every cop set,
+the reference for the kernel's one-vertex moves.
 """
 import itertools
 
@@ -304,3 +306,88 @@ def naive_solve_visible(succ, pred, n, moves, monotone, strong, budget):
             if win_round[base + r]:
                 strategy[(cmask, r)] = moves[best_move[base + r]]
     return True, strategy, transitions
+
+
+def _met_row(cache, met, adj, n, guard):
+    count = met.get(guard, 0) + 1
+    if count < n:
+        met[guard] = count
+        return None
+    return _rows(cache, adj, n, guard)
+
+
+def naive_solve_invisible(succ, n, moves, lazy, monotone, budget):
+    """Breadth-first search over contamination states (C, R) from (0, V),
+    trying every cop set of ``moves`` from every state.
+
+    ``pykernels.solve_invisible`` must return exactly this in monotone
+    mode; in plain mode it tries one-vertex moves only and must agree on
+    the verdict.
+
+    Single-player: the cops win iff some move sequence empties R.
+    Returns (cops_win, sequence_of_move_masks, transitions); the BFS
+    plus canonical move order makes the found sequence deterministic
+    (shortest, then earliest in move order).
+    """
+    full = (1 << n) - 1
+    if full == 0:
+        return True, [], 0
+    m = len(moves)
+    start_key = full  # cop-set index 0, contamination V
+    seen = {start_key}
+    state_ci = [0]
+    state_r = [full]
+    parent = [-1]
+    parent_move = [-1]
+    transitions = 0
+    rows = {}
+    met = {}
+    head = 0
+    while head < len(state_ci):
+        ci = state_ci[head]
+        rmask = state_r[head]
+        sid = head
+        head += 1
+        cmask = moves[ci]
+        for j in range(m):
+            if lazy and j == ci:  # inert robbers never move on their own
+                continue
+            cj = moves[j]
+            transitions += 1
+            if transitions > budget:
+                raise StateBudgetExceededError(budget, transitions)
+            # robbers run from the vertices C' lands on (lazy) or from
+            # everywhere (fast); the reach is the OR of the source rows
+            rp = rmask
+            f = rmask & cj if lazy else rmask
+            if f:
+                guard = cmask & cj
+                row = rows.get(guard)
+                if row is None:
+                    row = _met_row(rows, met, succ, n, guard)
+                if row is None:
+                    rp |= _reach_mask(succ, f, guard)
+                else:
+                    while f:
+                        low = f & -f
+                        rp |= row[low.bit_length() - 1]
+                        f ^= low
+            rp &= ~cj
+            if monotone and rp & ~rmask:
+                continue
+            if rp == 0:
+                seq = [cj]
+                cur = sid
+                while cur > 0:
+                    seq.append(moves[parent_move[cur]])
+                    cur = parent[cur]
+                seq.reverse()
+                return True, seq, transitions
+            key = (j << n) | rp
+            if key not in seen:
+                seen.add(key)
+                state_ci.append(j)
+                state_r.append(rp)
+                parent.append(sid)
+                parent_move.append(j)
+    return False, None, transitions

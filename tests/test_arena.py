@@ -1,30 +1,45 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from copwin.arena import (
     INVISIBLE_FAST,
     INVISIBLE_LAZY,
+    SUPPORTED_VARIANTS,
     VISIBLE_FAST,
     Agility,
     Confinement,
-    ContaminationState,
     GameVariant,
-    VisiblePosition,
     Visibility,
-    contaminate,
-    cop_moves,
-    initial_state,
-    is_monotone_transition,
-    robber_options,
-    robber_space,
+    contaminate_mask,
+    robber_options_mask,
 )
-from copwin.digraph import Digraph, bidirect, delete_arcs, reach
-from copwin.errors import UnsupportedVariantError
+from copwin.bits import iter_bits, mask_from, subsets_upto
+from copwin.digraph import Digraph, bidirect, delete_arcs, reach, reach_mask
+from copwin.errors import CertificateError, UnsupportedVariantError
 from copwin.lab import random_digraph
+from copwin.solver import solve, verify_certificate
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 CHAIN = Digraph(3, [(0, 1), (1, 2)])
+
+
+def opts(d, cops, next_cops, robber, strong=False):
+    """Landing spots of the visible robber, as a set."""
+    return set(iter_bits(robber_options_mask(d, mask_from(cops), mask_from(next_cops),
+                                             robber, strong)))
+
+
+def cont(d, cops, next_cops, contaminated, lazy):
+    """Contamination after a cop move, as a set."""
+    return set(iter_bits(contaminate_mask(d, mask_from(cops), mask_from(next_cops),
+                                          mask_from(contaminated), lazy)))
+
+
+def _random_set(rng, n, p, exclude=()):
+    return {v for v in range(n) if v not in exclude and rng.random() < p}
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +65,19 @@ def test_unsupported_variants_rejected():
 
 
 def test_positions_validate():
-    with pytest.raises(ValueError):
-        VisiblePosition(frozenset({1}), 1)
-    with pytest.raises(ValueError):
-        ContaminationState(frozenset({0}), frozenset({0, 1}))
-    VisiblePosition(frozenset({1}), 0)
-    ContaminationState(frozenset({0}), frozenset({1}))
+    # every successor position is valid: the robber never lands on a cop,
+    # and contamination is disjoint from the new cop set
+    rng = random.Random(31)
+    for trial in range(100):
+        n = rng.randint(1, 7)
+        d = random_digraph(n, rng.choice([0.2, 0.4, 0.6]), trial)
+        c = _random_set(rng, n, 0.3)
+        c2 = _random_set(rng, n, 0.3)
+        r = _random_set(rng, n, 0.6, exclude=c)
+        assert not cont(d, c, c2, r, True) & c2
+        assert not cont(d, c, c2, r, False) & c2
+        for robber in set(range(n)) - c:
+            assert not opts(d, c, c2, robber) & c2
 
 
 # ---------------------------------------------------------------------------
@@ -63,30 +85,34 @@ def test_positions_validate():
 # ---------------------------------------------------------------------------
 
 def test_cop_moves_counts():
-    assert len(list(cop_moves(C3, 1))) == 4
-    assert len(list(cop_moves(C3, 3))) == 8
-    assert list(cop_moves(Digraph(0), 0)) == [frozenset()]
+    assert len(subsets_upto(3, 1)) == 4
+    assert len(subsets_upto(3, 3)) == 8
+    assert subsets_upto(0, 0) == [0]
 
 
 def test_cop_moves_unique_and_bounded():
-    moves = list(cop_moves(C3, 2))
+    moves = subsets_upto(3, 2)
     assert len(moves) == len(set(moves)) == 7
-    assert all(len(c) <= 2 for c in moves)
-    assert moves[0] == frozenset()
+    assert all(c.bit_count() <= 2 for c in moves)
+    assert moves[0] == 0
 
 
 def test_cop_moves_budget_validated():
-    with pytest.raises(ValueError):
-        list(cop_moves(C3, 4))
-    with pytest.raises(ValueError):
-        list(cop_moves(C3, -1))
+    for variant in SUPPORTED_VARIANTS:
+        with pytest.raises(ValueError):
+            solve(C3, 4, variant)
+        with pytest.raises(ValueError):
+            solve(C3, -1, variant)
 
 
 def test_cop_moves_follows_canonical_solver_order():
-    from copwin.bits import mask_from, subsets_upto
-
-    moves = [mask_from(c) for c in cop_moves(C3, 2)]
-    assert moves == subsets_upto(3, 2)
+    # lexicographic order of the ascending vertex tuples, empty set first
+    for n in range(6):
+        for k in range(n + 1):
+            tuples = sorted(
+                t for size in range(k + 1) for t in itertools.combinations(range(n), size)
+            )
+            assert subsets_upto(n, k) == [mask_from(t) for t in tuples]
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +120,37 @@ def test_cop_moves_follows_canonical_solver_order():
 # ---------------------------------------------------------------------------
 
 def test_robber_options_examples():
-    assert robber_options(C3, [], [0], 0) == {1, 2}
+    assert opts(C3, [], [0], 0) == {1, 2}
     # lifting every cop never captures: r itself stays reachable
     for d in (C3, CHAIN):
         for r in range(d.n):
-            opts = robber_options(d, [v for v in range(d.n) if v != r][:1], [], r)
-            assert r in opts
-    assert robber_options(CHAIN, [], [2], 2) == frozenset()
+            assert r in opts(d, [v for v in range(d.n) if v != r][:1], [], r)
+    assert opts(CHAIN, [], [2], 2) == set()
 
 
 def test_robber_options_avoid_only_stationary_cops():
     # cop moving 0 -> 1 on the chain: guard is empty, robber at 2 keeps {2}
-    assert robber_options(CHAIN, [0], [1], 2) == {2}
+    assert opts(CHAIN, [0], [1], 2) == {2}
     # stationary cop at 1 blocks the chain: robber at 0 trapped at 0, then caught
-    assert robber_options(CHAIN, [1], [1, 0], 0) == frozenset()
+    assert opts(CHAIN, [1], [1, 0], 0) == set()
 
 
 def test_robber_options_strong_component_confinement():
     # one big cycle: without confinement the robber may run anywhere ahead;
     # the strong component of C3 minus nothing is everything, so equal here
-    assert robber_options(C3, [], [0], 0, Confinement.STRONG_COMPONENT) == {1, 2}
+    assert opts(C3, [], [0], 0, strong=True) == {1, 2}
     # chain has singleton components: a fast robber may still only sit still
-    assert robber_options(CHAIN, [], [1], 0, Confinement.STRONG_COMPONENT) == {0}
+    assert opts(CHAIN, [], [1], 0, strong=True) == {0}
 
 
 def test_robber_options_rejects_robber_on_cop():
-    with pytest.raises(ValueError):
-        robber_options(C3, [0], [1], 0)
+    # a certificate is the one input that names positions: an entry with
+    # the robber on a cop is malformed, not a game result
+    out = solve(C3, 2, VISIBLE_FAST)
+    cops, robber, move = next(e for e in out.certificate.body if e[0])
+    bad = replace(out.certificate, body=out.certificate.body + ((cops, cops[0], move),))
+    with pytest.raises(CertificateError, match="robber on a cop"):
+        verify_certificate(C3, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +158,25 @@ def test_robber_options_rejects_robber_on_cop():
 # ---------------------------------------------------------------------------
 
 def test_contaminate_examples():
-    assert contaminate(C3, [], [0], [0, 1, 2], Agility.LAZY) == {1, 2}
-    assert contaminate(CHAIN, [], [0], [1, 2], Agility.LAZY) == {1, 2}
-    assert contaminate(CHAIN, [0], [0, 1], [1, 2], Agility.FAST) == {2}
+    assert cont(C3, [], [0], [0, 1, 2], True) == {1, 2}
+    assert cont(CHAIN, [], [0], [1, 2], True) == {1, 2}
+    assert cont(CHAIN, [0], [0, 1], [1, 2], False) == {2}
 
 
 def test_contaminate_rejects_overlap():
-    with pytest.raises(ValueError):
-        contaminate(C3, [0], [1], [0], Agility.LAZY)
+    # contamination never overlaps the cop set along any play from (0, V),
+    # so no reachable state has the overlap the update rule excludes
+    rng = random.Random(17)
+    for trial in range(60):
+        n = rng.randint(1, 7)
+        d = random_digraph(n, 0.4, trial)
+        for lazy in (True, False):
+            c, r = 0, d.full_mask
+            for step in range(8):
+                c2 = mask_from(_random_set(rng, n, 0.3))
+                r = contaminate_mask(d, c, c2, r, lazy)
+                c = c2
+                assert r & c == 0
 
 
 def test_lazy_subset_of_fast_on_random_instances():
@@ -143,12 +184,10 @@ def test_lazy_subset_of_fast_on_random_instances():
     for trial in range(120):
         n = rng.randint(1, 8)
         d = random_digraph(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(10**6))
-        c = {v for v in range(n) if rng.random() < 0.3}
-        c2 = {v for v in range(n) if rng.random() < 0.3}
-        r = {v for v in range(n) if v not in c and rng.random() < 0.6}
-        lazy = contaminate(d, c, c2, r, Agility.LAZY)
-        fast = contaminate(d, c, c2, r, Agility.FAST)
-        assert lazy <= fast
+        c = _random_set(rng, n, 0.3)
+        c2 = _random_set(rng, n, 0.3)
+        r = _random_set(rng, n, 0.6, exclude=c)
+        assert cont(d, c, c2, r, True) <= cont(d, c, c2, r, False)
 
 
 def test_cop_idle_step_changes_nothing():
@@ -156,13 +195,13 @@ def test_cop_idle_step_changes_nothing():
     for trial in range(80):
         n = rng.randint(1, 7)
         d = random_digraph(n, 0.4, trial)
-        c = {v for v in range(n) if rng.random() < 0.3}
-        r = {v for v in range(n) if v not in c and rng.random() < 0.6}
-        assert contaminate(d, c, c, r, Agility.LAZY) == frozenset(r)
+        c = _random_set(rng, n, 0.3)
+        r = _random_set(rng, n, 0.6, exclude=c)
+        assert cont(d, c, c, r, True) == r
         # for a fast robber the idle step fixes exactly the game-closed sets,
         # i.e. those already closed under out-arcs avoiding the cops
         closed = reach(d, r, c)
-        assert contaminate(d, c, c, closed, Agility.FAST) == closed
+        assert cont(d, c, c, closed, False) == closed
 
 
 def test_arc_deletion_dominance():
@@ -174,15 +213,13 @@ def test_arc_deletion_dominance():
             continue
         drop = [a for a in d.arcs if rng.random() < 0.4]
         d2 = delete_arcs(d, drop)
-        c = {v for v in range(n) if rng.random() < 0.25}
-        c2 = {v for v in range(n) if rng.random() < 0.25}
-        r = {v for v in range(n) if v not in c and rng.random() < 0.6}
-        for ag in (Agility.LAZY, Agility.FAST):
-            assert contaminate(d2, c, c2, r, ag) <= contaminate(d, c, c2, r, ag)
-        for robber in range(n):
-            if robber in c:
-                continue
-            assert robber_options(d2, c, c2, robber) <= robber_options(d, c, c2, robber)
+        c = _random_set(rng, n, 0.25)
+        c2 = _random_set(rng, n, 0.25)
+        r = _random_set(rng, n, 0.6, exclude=c)
+        for lazy in (True, False):
+            assert cont(d2, c, c2, r, lazy) <= cont(d, c, c2, r, lazy)
+        for robber in set(range(n)) - c:
+            assert opts(d2, c, c2, robber) <= opts(d, c, c2, robber)
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +227,39 @@ def test_arc_deletion_dominance():
 # ---------------------------------------------------------------------------
 
 def test_robber_space_examples():
-    assert robber_space(C3, [1], 0) == {0}
-    assert robber_space(C3, [], 0) == {0, 1, 2}
+    def space(d, cops, robber):
+        return set(iter_bits(reach_mask(d.succ_masks, 1 << robber, mask_from(cops))))
+
+    assert space(C3, [1], 0) == {0}
+    assert space(C3, [], 0) == {0, 1, 2}
     k3 = bidirect(3, [(0, 1), (0, 2), (1, 2)])
-    assert robber_space(k3, [2], 0) == {0, 1}
+    assert space(k3, [2], 0) == {0, 1}
 
 
 def test_is_monotone_transition():
-    assert not is_monotone_transition({1, 2}, {1, 2, 0})
-    assert is_monotone_transition({1, 2}, {2})
-    assert is_monotone_transition({1, 2}, {1, 2})
+    # inert robber on the chain, one cop: the play {2} -> {0} -> {1} -> {2}
+    # clears the graph but recontaminates 2 on its second move, which a
+    # monotone certificate may not do; {0} -> {1} -> {2} never grows
+    out = solve(CHAIN, 1, INVISIBLE_LAZY)
+    assert cont(CHAIN, [2], [0], [0, 1], True) == {1, 2}
+    assert cont(CHAIN, [0], [1], [1, 2], True) == {2}
+
+    def valid(body, monotone):
+        return verify_certificate(CHAIN, replace(out.certificate, monotone=monotone, body=body))
+
+    regrow = ((2,), (0,), (1,), (2,))
+    assert valid(regrow, False)
+    assert valid(regrow, True).reason == "move 1 recontaminates (2,)"
+    assert valid(((0,), (1,), (2,)), True)
 
 
 def test_initial_states():
-    assert initial_state(C3, INVISIBLE_LAZY) == ContaminationState(
-        frozenset(), frozenset({0, 1, 2})
-    )
-    single = initial_state(Digraph(1), VISIBLE_FAST)
-    assert single == (VisiblePosition(frozenset(), 0),)
-    assert initial_state(Digraph(0), VISIBLE_FAST) == ()
-    assert initial_state(Digraph(0), INVISIBLE_FAST) == ContaminationState(
-        frozenset(), frozenset()
-    )
+    # visible: one start per robber vertex, none for n = 0 (a vacuous cop
+    # win); invisible: no cops and everything contaminated
+    for variant in (VISIBLE_FAST, INVISIBLE_LAZY, INVISIBLE_FAST):
+        out = solve(Digraph(0), 0, variant)
+        assert out.cops_win and out.certificate.body == ()
+        assert not solve(Digraph(1), 0, variant).cops_win
+    assert solve(Digraph(1), 1, INVISIBLE_LAZY).certificate.body == ((0,),)
+    assert solve(Digraph(2), 1, VISIBLE_FAST).certificate.body == (
+        ((), 0, (0,)), ((), 1, (1,)))

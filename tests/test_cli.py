@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from copwin.cli import main
+from copwin.digraph import to_edge_list
+from copwin.lab import random_digraph
 
 C3_TEXT = "n 3\n0 1\n1 2\n2 0\n"
 SINGLE_TEXT = "n 1\n"
@@ -78,6 +80,40 @@ def test_certify_round_trip(capsys, tmp_path, c3_file):
     code, out, _ = run_cli(capsys, "certify", c3_file, str(cert))
     assert code == 0
     assert out == "VALID\n"
+
+
+def test_copnum_inert_n12_within_default_budget(capsys, tmp_path):
+    # the all-subsets search ran out of the default budget here; one-vertex
+    # moves answer, and the longer sequence they emit still verifies
+    graph = tmp_path / "r12.edges"
+    graph.write_text(to_edge_list(random_digraph(12, 0.3, 1)))
+    cert = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "copnum", "--variant", "inert",
+                           "--emit-cert", str(cert), str(graph))
+    assert (code, out) == (0, "4\n")
+    code, out, _ = run_cli(capsys, "certify", str(graph), str(cert))
+    assert (code, out) == (0, "VALID\n")
+
+
+@pytest.mark.parametrize("variant", ["visible", "inert", "invisible-fast"])
+def test_solve_zero_cops_on_huge_vertex_id(tmp_path, variant):
+    # a 0-cop solve must not build reachability rows: with 100,001 vertices
+    # one row alone takes about 650 MiB, so a regression trips the 256 MiB
+    # address-space cap (the solve itself peaks near 30 MiB) or the timeout
+    graph = tmp_path / "far.edges"
+    graph.write_text("n 100001\n0 100000\n")
+    script = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+        "from copwin.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", "--variant", variant, "--cops", "0",
+         str(graph)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ROBBER\n"
 
 
 def test_certify_wrong_graph_exit_4(capsys, tmp_path, c3_file):

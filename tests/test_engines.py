@@ -1,19 +1,17 @@
-"""Backend parity: the compiled kernels must be bit-for-bit equivalent
-to the pure-Python ones (winners, strategies, sequences, and the
-transition counts that feed the budget)."""
+"""Solver kernels: golden digests of their outputs, and agreement with
+the former kernels kept in ``tests/oracles.py`` (winners, strategies,
+sequences, and the transition counts that feed the budget)."""
 import hashlib
 import random
 
 import pytest
 
-from copwin.bits import subsets_upto
-from copwin.engine import available_backends, get_backend, pykernels
+from copwin.bits import mask_to_tuple, subsets_upto
+from copwin.digraph import Digraph, fingerprint
+from copwin.engine import get_backend, pykernels
 from copwin.errors import StateBudgetExceededError
-from oracles import naive_solve_visible
-
-HAVE_C = "c" in available_backends()
-
-needs_c = pytest.mark.skipif(not HAVE_C, reason="compiled kernels not built")
+from copwin.solver import Certificate, verify_certificate
+from oracles import enumerate_arc_lists, naive_solve_invisible, naive_solve_visible
 
 
 def _random_instance(rng, max_n=6):
@@ -28,20 +26,26 @@ def _random_instance(rng, max_n=6):
     return n, succ, pred
 
 
-# SHA-256 of every pure-Python kernel result on the parity-test streams
-# (seeds 1 and 2, 150 instances each, every flag combination).  The
-# generous budget pins winners, strategies, sequences and transition
-# counts; the small budgets also pin the (budget, explored) pair carried
-# by StateBudgetExceededError, so the point where a solve gives up
-# cannot move either.
+# SHA-256 of every kernel result on two random streams (seeds 1 and 2,
+# 150 instances each, every flag combination).  The generous budget pins
+# winners, strategies, sequences and transition counts; the small
+# budgets also pin the (budget, explored) pair carried by
+# StateBudgetExceededError, so the point where a solve gives up cannot
+# move either.  The invisible stream is split by mode: the monotone
+# digests were recorded on the all-subsets search and still hold, the
+# plain ones on the one-vertex-move search.
 GOLDEN_BUDGETS = (3, 40, 400, 3000)
 GOLDEN_VISIBLE = {
     (10**7,): "7b76f15057a47b6f2f09529d060e5b5cf37d79760a1741568fad2c75cede213c",
     GOLDEN_BUDGETS: "b131498cc921e73060e94e38bf88d61047876bac6f61b37401eb68a86c463f72",
 }
 GOLDEN_INVISIBLE = {
-    (10**7,): "c58733f0c08ea71954d27c0eb3b2edde45312b34311914b441826a90aedecc5e",
-    GOLDEN_BUDGETS: "692b9c20a83a1261f66422cd563ba905cc921c91075e2d7997f3f0ae57f653cb",
+    (10**7,): "3b5d87df2a978593c7df42cf27f368195100220d07b8c7fe535fb01680cf7490",
+    GOLDEN_BUDGETS: "418fa29796fae27a12d3000fc598e51f2ec7ae90df37df7b19506fe027937841",
+}
+GOLDEN_INVISIBLE_PLAIN = {
+    (10**7,): "1b81824d2bcb29f1031c705bd3e669f42179f3d397a5f4c14faff9894348dcc9",
+    GOLDEN_BUDGETS: "85b2729a76ac837cf23168f0b84c653d2910ceac11b952962f3dbecb6faa8c6d",
 }
 
 
@@ -72,8 +76,7 @@ def test_visible_golden_digest(budgets):
     assert h.hexdigest() == GOLDEN_VISIBLE[budgets]
 
 
-@pytest.mark.parametrize("budgets", [(10**7,), GOLDEN_BUDGETS], ids=["ample", "small"])
-def test_invisible_golden_digest(budgets):
+def _invisible_digest(budgets, mono):
     rng = random.Random(2)
     h = hashlib.sha256()
     for trial in range(150):
@@ -81,12 +84,21 @@ def test_invisible_golden_digest(budgets):
         k = rng.randint(0, n)
         moves = subsets_upto(n, k)
         for lazy in (False, True):
-            for mono in (False, True):
-                for budget in budgets:
-                    entry = _golden_entry(lambda: pykernels.solve_invisible(
-                        succ, n, moves, lazy, mono, budget))
-                    h.update(repr(entry).encode())
-    assert h.hexdigest() == GOLDEN_INVISIBLE[budgets]
+            for budget in budgets:
+                entry = _golden_entry(lambda: pykernels.solve_invisible(
+                    succ, n, moves, lazy, mono, budget))
+                h.update(repr(entry).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("budgets", [(10**7,), GOLDEN_BUDGETS], ids=["ample", "small"])
+def test_invisible_golden_digest(budgets):
+    assert _invisible_digest(budgets, True) == GOLDEN_INVISIBLE[budgets]
+
+
+@pytest.mark.parametrize("budgets", [(10**7,), GOLDEN_BUDGETS], ids=["ample", "small"])
+def test_invisible_plain_golden_digest(budgets):
+    assert _invisible_digest(budgets, False) == GOLDEN_INVISIBLE_PLAIN[budgets]
 
 
 def _dense_instance(rng, n, p, bidirected):
@@ -125,87 +137,54 @@ def test_visible_quotient_matches_vertex_level_oracle():
                         assert got == want, (trial, bidirected, mono, strong, budget)
 
 
-@needs_c
-def test_visible_parity():
-    ck = available_backends()["c"]
-    rng = random.Random(1)
-    for trial in range(150):
-        n, succ, pred = _random_instance(rng)
-        k = rng.randint(0, n)
+def _check_invisible(n, arcs, ks):
+    """Plain: the oracle's verdict and a valid certificate; monotone: the
+    oracle's exact result."""
+    d = Digraph(n, arcs)
+    succ = d.succ_masks
+    for k in ks:
         moves = subsets_upto(n, k)
-        for mono in (False, True):
-            for strong in (False, True):
-                a = pykernels.solve_visible(succ, pred, n, moves, mono, strong, 10**7)
-                b = ck.solve_visible(succ, pred, n, moves, mono, strong, 10**7)
-                assert a == b
+        for lazy in (True, False):
+            win, seq, _ = pykernels.solve_invisible(succ, n, moves, lazy, False, 10**8)
+            assert win == naive_solve_invisible(succ, n, moves, lazy, False, 10**8)[0], (
+                arcs, k, lazy)
+            if win:
+                cert = Certificate(
+                    variant="invisible-lazy" if lazy else "invisible-fast",
+                    k=k,
+                    monotone=False,
+                    graph_sha256=fingerprint(d),
+                    kind="sequence",
+                    body=tuple(mask_to_tuple(c) for c in seq),
+                )
+                assert verify_certificate(d, cert).valid, (arcs, k, lazy)
+            assert pykernels.solve_invisible(succ, n, moves, lazy, True, 10**8) == (
+                naive_solve_invisible(succ, n, moves, lazy, True, 10**8)), (arcs, k, lazy)
 
 
-@needs_c
-def test_invisible_parity():
-    ck = available_backends()["c"]
-    rng = random.Random(2)
-    for trial in range(150):
-        n, succ, _ = _random_instance(rng)
-        k = rng.randint(0, n)
-        moves = subsets_upto(n, k)
-        for lazy in (False, True):
-            for mono in (False, True):
-                a = pykernels.solve_invisible(succ, n, moves, lazy, mono, 10**7)
-                b = ck.solve_invisible(succ, n, moves, lazy, mono, 10**7)
-                assert a == b
+def test_invisible_moves_match_subset_oracle_census():
+    # every labeled digraph with n <= 4, every cop count
+    for n in range(5):
+        for arcs in enumerate_arc_lists(n):
+            _check_invisible(n, arcs, range(n + 1))
 
 
-@needs_c
-def test_reach_parity():
-    ck = available_backends()["c"]
-    rng = random.Random(3)
-    for trial in range(200):
-        n, succ, _ = _random_instance(rng, max_n=10)
-        src = rng.getrandbits(n) if n else 0
-        forb = rng.getrandbits(n) if n else 0
-        assert pykernels.reach_mask(succ, src, forb) == ck.reach_mask(succ, src, forb)
-
-
-@needs_c
-def test_budget_errors_identical():
-    ck = available_backends()["c"]
-    succ = [0b010, 0b100, 0b001]
-    pred = [0b100, 0b001, 0b010]
-    moves = subsets_upto(3, 1)
-    for backend in (pykernels, ck):
-        with pytest.raises(StateBudgetExceededError):
-            backend.solve_visible(succ, pred, 3, moves, False, False, 5)
-        with pytest.raises(StateBudgetExceededError):
-            backend.solve_invisible(succ, 3, moves, True, False, 2)
-
-
-@needs_c
-def test_end_to_end_outcomes_identical_across_backends():
-    from copwin.arena import INVISIBLE_FAST, INVISIBLE_LAZY, VISIBLE_FAST
-    from copwin.lab import random_digraph
-    from copwin.solver import solve
-
-    rng = random.Random(9)
-    for trial in range(15):
-        n = rng.randint(1, 5)
-        d = random_digraph(n, 0.4, 777 + trial)
-        for variant in (VISIBLE_FAST, INVISIBLE_LAZY, INVISIBLE_FAST):
-            for mono in (False, True):
-                for k in range(n + 1):
-                    a = solve(d, k, variant, mono, engine="py")
-                    b = solve(d, k, variant, mono, engine="c")
-                    assert a == b  # winner, certificate, and state count
+def test_invisible_moves_match_subset_oracle_random():
+    rng = random.Random(6)
+    for trial in range(40):
+        n = rng.randint(5, 8)
+        p = rng.choice([0.2, 0.3, 0.45])
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        _check_invisible(n, arcs, (rng.randint(1, 3),))
 
 
 def test_backend_selection():
     assert get_backend("py") is pykernels
-    if HAVE_C:
-        assert get_backend("c").NAME == "c"
-        # oversized vertex counts fall back to the pure backend
-        assert get_backend("c", n=63) is pykernels
-        assert get_backend(None, n=4).NAME in ("c", "py")
+    assert get_backend(None) is pykernels
     with pytest.raises(ValueError):
         get_backend("fortran")
+    with pytest.raises(ValueError):
+        get_backend("c")
 
 
 def test_env_override(monkeypatch):

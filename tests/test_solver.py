@@ -12,8 +12,6 @@ from copwin.solver import (
     cop_number,
     gap,
     solve,
-    solve_invisible,
-    solve_visible,
     verify_certificate,
 )
 
@@ -72,9 +70,12 @@ def test_cop_number_examples():
     assert cop_number(Digraph(0), INVISIBLE_LAZY).value == 0
 
 
-def test_solve_wrappers_match_variant_solve():
-    assert solve_visible(C3, 2).cops_win
-    assert solve_invisible(C3, 2).cops_win == solve(C3, 2, INVISIBLE_LAZY).cops_win
+def test_solve_default_flags():
+    # plain play and reachability confinement unless asked otherwise
+    assert solve(C3, 2, VISIBLE_FAST) == solve(C3, 2, VISIBLE_FAST, monotone=False)
+    assert solve(C3, 2, VISIBLE_FAST).cops_win
+    assert solve(C3, 2, INVISIBLE_LAZY) == solve(C3, 2, INVISIBLE_LAZY, monotone=False)
+    assert solve(C3, 2, INVISIBLE_LAZY).cops_win
 
 
 def test_budget_validation():

@@ -8,6 +8,7 @@ Exit codes: 0 solved/verified, 1 usage error, 2 graph parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -61,6 +62,10 @@ DEFAULT_P = 0.3
 
 class UsageError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """An output path could not be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,11 +159,25 @@ def _variant(name) -> GameVariant:
     return GameVariant.from_name(name)
 
 
-def _emit(text, out_path=None):
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing ``path`` into an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def _output(path):
+    """stdout, or ``path`` opened for writing before any work is done."""
+    if not path:
+        yield sys.stdout
+        return
+    with _writing(path):
+        f = open(path, "w", encoding="utf-8")
+    with f:
+        yield f
 
 
 def _cmd_solve(args):
@@ -185,9 +204,10 @@ def _cmd_copnum(args):
     variant = _variant(args.variant)
     res = cop_number(d, variant, args.monotone, args.state_budget, args.engine)
     if args.emit_cert:
-        Path(args.emit_cert).write_text(
-            res.outcome.certificate.to_json_text(), encoding="utf-8"
-        )
+        with _writing(args.emit_cert):
+            Path(args.emit_cert).write_text(
+                res.outcome.certificate.to_json_text(), encoding="utf-8"
+            )
     if args.json:
         doc = {
             "cop_number": res.value,
@@ -264,6 +284,9 @@ def _cmd_gapscan(args):
     variant = _variant(args.variant)
     graphs = _gapscan_source(args)
     cert_dir = Path(args.cert_dir) if args.cert_dir else None
+    if cert_dir is not None:
+        with _writing(cert_dir):
+            cert_dir.mkdir(parents=True, exist_ok=True)
     cert_paths = {}
 
     def write_certificates(rec):
@@ -276,34 +299,33 @@ def _cmd_gapscan(args):
         ):
             if cert is None:
                 continue
-            cert_dir.mkdir(parents=True, exist_ok=True)
             path = cert_dir / f"{rec.graph_id}.{rec.variant}.{which}.cert.json"
-            path.write_text(cert.to_json_text(), encoding="utf-8")
+            with _writing(path):
+                path.write_text(cert.to_json_text(), encoding="utf-8")
             cert_paths[(rec.graph_id, which)] = str(path)
 
-    result = gap_scan(
-        graphs,
-        variant,
-        state_budget=args.state_budget,
-        jobs=args.jobs,
-        measure_runtime=args.timings,
-        sink=write_certificates,
-    )
-    if cert_dir is not None:
-        cert_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        text = rows_to_csv(GAP_FIELDS, (r.to_row() for r in result.records))
-    else:
-        def jsonl_rows():
-            for rec in result.records:
-                row = rec.to_row()
-                row["certificate_plain"] = cert_paths.get((rec.graph_id, "plain"))
-                row["certificate_monotone"] = cert_paths.get((rec.graph_id, "monotone"))
-                row["attestation"] = rec.attestation
-                yield row
+    with _output(args.out) as out:
+        result = gap_scan(
+            graphs,
+            variant,
+            state_budget=args.state_budget,
+            jobs=args.jobs,
+            measure_runtime=args.timings,
+            sink=write_certificates,
+        )
+        if args.format == "csv":
+            text = rows_to_csv(GAP_FIELDS, (r.to_row() for r in result.records))
+        else:
+            def jsonl_rows():
+                for rec in result.records:
+                    row = rec.to_row()
+                    row["certificate_plain"] = cert_paths.get((rec.graph_id, "plain"))
+                    row["certificate_monotone"] = cert_paths.get((rec.graph_id, "monotone"))
+                    row["attestation"] = rec.attestation
+                    yield row
 
-        text = rows_to_jsonl(jsonl_rows())
-    _emit(text, args.out)
+            text = rows_to_jsonl(jsonl_rows())
+        out.write(text)
     s = result.summary
     print(
         f"scanned {s.instances} instances: {s.gaps_positive} gaps > 0, "
@@ -419,7 +441,8 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return EXIT_CERT
-    except (UnsupportedVariantError, SizeLimitError, ConstructionUnavailableError, ValueError) as exc:
+    except (UnsupportedVariantError, SizeLimitError, ConstructionUnavailableError, ValueError,
+            OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

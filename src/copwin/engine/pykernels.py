@@ -35,12 +35,10 @@ cop move.  Every robber response is a union of classes of D - C', so
 each is linked once per class, and all members of a class win in the
 same round with the same smallest-index move.  Expanding a class's move
 to its members gives the strategy map the vertex-level attractor gives.
-``transitions`` and the budget still count the unquotiented arena: each
-class records one member's count (1 per cop move tried, plus the number
-of robber responses of each move kept), the robber vertices are walked
-in order adding their class's count, and the class whose count crosses
-the budget is replayed move by move, so a budget error carries the same
-(budget, explored) pair as the vertex-level count.
+``transitions`` and the budget count this quotient arena: 1 per cop
+move tried from a class, plus 1 per robber-response class the move
+links.  That is never more than the vertex-level count, and equal to
+it when every class is a single vertex (D acyclic, say).
 
 One-vertex moves in the plain invisible games.  In plain mode the
 contamination search tries, from a state (C, R), only the cop sets one
@@ -115,13 +113,11 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
     (cops_win, strategy, transitions) where strategy maps (cop_mask,
     robber) -> move mask for every cop-winning position, picking the
     fastest-capture move and breaking ties by the canonical move order.
-    The attractor itself runs on the strong-component quotient (see the
-    module docstring).
+    The attractor itself runs on the strong-component quotient, and
+    ``transitions`` counts its work (see the module docstring); a count
+    above ``budget`` raises StateBudgetExceededError.
     """
     m = len(moves)
-    num_pos = m * n
-    if num_pos * m > budget:
-        raise StateBudgetExceededError(budget, num_pos * m)
     if m == 1:  # only the empty cop set: no transitions, no capture
         return n == 0, ({} if n == 0 else None), 0
 
@@ -171,7 +167,6 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
     best_move = [-1] * num_cls
     cnt = [0] * (num_cls * m)
     rev = [[] for _ in range(num_cls)]
-    added = [0] * num_cls  # unquotiented transitions of one member
     queue = []
 
     for ci in range(m):
@@ -188,12 +183,13 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
         for q in range(first[ci], first[ci + 1]):
             r = reps[q]
             s_old = s_row[r]
-            tried = 0
             for j in range(m):
                 if j == ci:  # C' = C never changes any state
                     continue
                 cj = moves[j]
-                tried += 1
+                transitions += 1
+                if transitions > budget:
+                    raise StateBudgetExceededError(budget, transitions)
                 opts = fwd[j][r]
                 if strong:
                     opts &= bwd[j][r]
@@ -227,17 +223,9 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
                     deg += 1
                     f &= ~masks[x]
                 cnt[rid] = deg
-                tried += opts.bit_count()
-            added[q] = tried
-        # count the unquotiented arena: every robber spot in vertex order
-        ids = cls_id[ci]
-        for r in range(n):
-            if cmask >> r & 1:
-                continue
-            q = ids[r]
-            if transitions + added[q] > budget:
-                _raise_within(budget, transitions, q, ci, reps[q], moves, fwd, bwd, cnt)
-            transitions += added[q]
+                transitions += deg
+                if transitions > budget:
+                    raise StateBudgetExceededError(budget, transitions)
 
     # backward induction: FIFO processes classes in nondecreasing round order
     head = 0
@@ -274,26 +262,6 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
             if win_round[q]:
                 strategy[(cmask, r)] = moves[best_move[q]]
     return True, strategy, transitions
-
-
-def _raise_within(budget, explored, q, ci, r, moves, fwd, bwd, cnt):
-    """Replay one member's transitions from ``explored`` and raise where the
-    running count first passes ``budget``, as the vertex-level count would."""
-    m = len(moves)
-    for j in range(m):
-        if j == ci:
-            continue
-        explored += 1
-        if explored > budget:  # a capture is always the last move tried
-            break
-        if cnt[q * m + j]:
-            opts = fwd[j][r] & ~moves[j]
-            if bwd is not None:
-                opts &= bwd[j][r]
-            explored += opts.bit_count()
-            if explored > budget:
-                break
-    raise StateBudgetExceededError(budget, explored)
 
 
 def solve_invisible(succ, n, moves, lazy, monotone, budget):

@@ -114,6 +114,8 @@ def canonical_graph_key(n: int, edges) -> tuple:
 
 def enumerate_connected_graphs(n: int) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
     """Connected undirected graphs on n vertices, one per isomorphism class."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if n > 6:
         raise SizeLimitError(f"connected-graph enumeration handles n <= 6, got {n}")
     if n == 0:

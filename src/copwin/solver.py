@@ -1,9 +1,9 @@
 """Exact game solving: winners, cop numbers, strategy certificates.
 
 The visible game is solved by backward induction (attractor) over the
-explicitly materialized bipartite arena; the invisible games by a
-memoized breadth-first search over contamination states.  Both are
-exact; exceeding the arena-transition budget raises
+strong-component quotient of the bipartite arena; the invisible games
+by a memoized breadth-first search over contamination states.  Both
+are exact; exceeding the transition budget raises
 StateBudgetExceededError, never a silent robber verdict.
 
 Certificates are replayable by ``verify_certificate``, which is written

@@ -187,9 +187,10 @@ def naive_solve_visible(succ, pred, n, moves, monotone, strong, budget):
     """Vertex-level attractor over the visible fast-robber arena.
 
     One position per (cop set, robber vertex).  ``pykernels.solve_visible``
-    solves the strong-component quotient instead and must return exactly
-    this, including the transition count and the (budget, explored) pair
-    of a budget error.
+    solves the strong-component quotient instead and must return the
+    same winner and strategy; its transition count, which counts the
+    quotient, must be at most this one, and equal where every strong
+    component is a single vertex.
 
     Positions are (cop set, robber vertex) with the cops to move; the
     robber answers each cop move with any legal landing spot.  Returns

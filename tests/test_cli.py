@@ -4,9 +4,12 @@ import sys
 
 import pytest
 
+from copwin.bits import subsets_upto
 from copwin.cli import main
 from copwin.digraph import to_edge_list
+from copwin.engine import pykernels
 from copwin.lab import random_digraph
+from oracles import naive_solve_visible
 
 C3_TEXT = "n 3\n0 1\n1 2\n2 0\n"
 SINGLE_TEXT = "n 1\n"
@@ -93,6 +96,23 @@ def test_copnum_inert_n12_within_default_budget(capsys, tmp_path):
     assert (code, out) == (0, "4\n")
     code, out, _ = run_cli(capsys, "certify", str(graph), str(cert))
     assert (code, out) == (0, "VALID\n")
+
+
+def test_solve_visible_budget_counts_quotient_work(capsys, tmp_path):
+    # a budget between the quotient count and the vertex-level count: a
+    # solve charged per (cop set, robber vertex) runs out of it, the
+    # quotient solve answers within it
+    d = random_digraph(4, 0.5, 1)
+    moves = subsets_upto(d.n, 2)
+    args = (d.succ_masks, d.pred_masks, d.n, moves, False, False)
+    cops_win, _, vertex_level = naive_solve_visible(*args, 10**9)
+    budget = max(pykernels.solve_visible(*args, 10**9)[2], len(moves) ** 2 * d.n)
+    assert budget < vertex_level
+    graph = tmp_path / "r4.edges"
+    graph.write_text(to_edge_list(d))
+    code, out, err = run_cli(capsys, "solve", "--variant", "visible", "--cops", "2",
+                             "--state-budget", str(budget), str(graph))
+    assert (code, out, err) == (0, "COPS\n" if cops_win else "ROBBER\n", "")
 
 
 @pytest.mark.parametrize("variant", ["visible", "inert", "invisible-fast"])
@@ -275,6 +295,37 @@ def test_budget_exceeded_exit_3(capsys, c3_file):
 def test_unsupported_variant_exit_1(capsys, c3_file):
     code, _, err = run_cli(capsys, "copnum", "--variant", "nonsense", c3_file)
     assert code == 1
+
+
+def _assert_cannot_write(code, out, err, path):
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_emit_cert_unwritable_exit_1(capsys, tmp_path, c3_file):
+    path = tmp_path / "missing" / "cert.json"
+    code, out, err = run_cli(capsys, "copnum", "--emit-cert", str(path), c3_file)
+    _assert_cannot_write(code, out, err, path)
+
+
+def test_gapscan_out_unwritable_exit_1_before_scan(capsys, tmp_path, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("scanned before checking --out")
+
+    monkeypatch.setattr("copwin.cli.gap_scan", scan)
+    path = tmp_path / "missing" / "r.csv"
+    code, out, err = run_cli(capsys, "gapscan", "--n", "3", "--exhaustive",
+                             "--out", str(path))
+    _assert_cannot_write(code, out, err, path)
+
+
+def test_gapscan_cert_dir_on_file_exit_1(capsys, tmp_path, c3_file):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = run_cli(capsys, "gapscan", "--cert-dir", str(path), c3_file)
+    _assert_cannot_write(code, out, err, path)
 
 
 # ---------------------------------------------------------------------------

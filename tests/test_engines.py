@@ -1,6 +1,6 @@
 """Solver kernels: golden digests of their outputs, and agreement with
 the former kernels kept in ``tests/oracles.py`` (winners, strategies,
-sequences, and the transition counts that feed the budget)."""
+sequences, and how the transition counts that feed the budget compare)."""
 import hashlib
 import random
 
@@ -31,13 +31,17 @@ def _random_instance(rng, max_n=6):
 # winners, strategies, sequences and transition counts; the small
 # budgets also pin the (budget, explored) pair carried by
 # StateBudgetExceededError, so the point where a solve gives up cannot
-# move either.  The invisible stream is split by mode: the monotone
-# digests were recorded on the all-subsets search and still hold, the
-# plain ones on the one-vertex-move search.
+# move either.  The visible digests were recorded on the quotient
+# count; GOLDEN_VISIBLE_STRATEGY pins winners and strategies only and
+# was recorded on the vertex-level count, so it shows that the count
+# change moved nothing else.  The invisible stream is split by mode: the
+# monotone digests were recorded on the all-subsets search and still
+# hold, the plain ones on the one-vertex-move search.
 GOLDEN_BUDGETS = (3, 40, 400, 3000)
+GOLDEN_VISIBLE_STRATEGY = "ff07f01430a41bfc9d7b35c68fd64e4187467449da68931671998e635ef2629d"
 GOLDEN_VISIBLE = {
-    (10**7,): "7b76f15057a47b6f2f09529d060e5b5cf37d79760a1741568fad2c75cede213c",
-    GOLDEN_BUDGETS: "b131498cc921e73060e94e38bf88d61047876bac6f61b37401eb68a86c463f72",
+    (10**7,): "9287dd6fe3dac07d12172e03387264edd73cc7953987857a6e52165ed80d0402",
+    GOLDEN_BUDGETS: "89fa1e66e39d69b5889e4a6ca6981272a5776e15a210ad7072159e88b6306823",
 }
 GOLDEN_INVISIBLE = {
     (10**7,): "3b5d87df2a978593c7df42cf27f368195100220d07b8c7fe535fb01680cf7490",
@@ -59,21 +63,34 @@ def _golden_entry(call):
     return (cops_win, plan, transitions)
 
 
-@pytest.mark.parametrize("budgets", [(10**7,), GOLDEN_BUDGETS], ids=["ample", "small"])
-def test_visible_golden_digest(budgets):
+def _visible_stream():
+    """Kernel arguments but the budget: 150 random instances, every flag combination."""
     rng = random.Random(1)
-    h = hashlib.sha256()
     for trial in range(150):
         n, succ, pred = _random_instance(rng)
         k = rng.randint(0, n)
         moves = subsets_upto(n, k)
         for mono in (False, True):
             for strong in (False, True):
-                for budget in budgets:
-                    entry = _golden_entry(lambda: pykernels.solve_visible(
-                        succ, pred, n, moves, mono, strong, budget))
-                    h.update(repr(entry).encode())
+                yield succ, pred, n, moves, mono, strong
+
+
+@pytest.mark.parametrize("budgets", [(10**7,), GOLDEN_BUDGETS], ids=["ample", "small"])
+def test_visible_golden_digest(budgets):
+    h = hashlib.sha256()
+    for args in _visible_stream():
+        for budget in budgets:
+            entry = _golden_entry(lambda: pykernels.solve_visible(*args, budget))
+            h.update(repr(entry).encode())
     assert h.hexdigest() == GOLDEN_VISIBLE[budgets]
+
+
+def test_visible_strategy_digest():
+    h = hashlib.sha256()
+    for args in _visible_stream():
+        cops_win, strategy, _ = pykernels.solve_visible(*args, 10**7)
+        h.update(repr((cops_win, strategy and sorted(strategy.items()))).encode())
+    assert h.hexdigest() == GOLDEN_VISIBLE_STRATEGY
 
 
 def _invisible_digest(budgets, mono):
@@ -101,40 +118,56 @@ def test_invisible_plain_golden_digest(budgets):
     assert _invisible_digest(budgets, False) == GOLDEN_INVISIBLE_PLAIN[budgets]
 
 
-def _dense_instance(rng, n, p, bidirected):
+def _dense_instance(rng, n, p, shape):
+    """Random arcs on n vertices: any direction, bidirected pairs, or
+    acyclic (arcs only from a lower to a higher position of a random order)."""
+    order = list(range(n))
+    rng.shuffle(order)
     succ = [0] * n
     pred = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if u != v and (u < v or not bidirected) and rng.random() < p:
-                for a, b in ((u, v), (v, u)) if bidirected else ((u, v),):
-                    succ[a] |= 1 << b
-                    pred[b] |= 1 << a
+    for i in range(n):
+        for j in range(n):
+            u, v = order[i], order[j]
+            if i == j or (i > j and shape != "any") or rng.random() >= p:
+                continue
+            for a, b in ((u, v), (v, u)) if shape == "bidirected" else ((u, v),):
+                succ[a] |= 1 << b
+                pred[b] |= 1 << a
     return succ, pred
 
 
 def test_visible_quotient_matches_vertex_level_oracle():
     # Dense n = 7..9 graphs put many robber spots in one strong component
-    # of D - C, unlike the n <= 6 digest streams.  The budgets cut the
-    # solve at the pre-flight, a third of the way, one transition short
-    # and exactly at the end, pinning the (budget, explored) pair.
+    # of D - C, unlike the n <= 6 digest streams; in acyclic graphs every
+    # component is one vertex, so the quotient count is the vertex-level
+    # count.  Budgets at and above the count change nothing; budgets of
+    # 1, a third of the count and one transition short must give up.
     rng = random.Random(5)
     cases = [(7, 3), (7, 3), (8, 2), (8, 3), (9, 2), (9, 2)]
     for trial, (n, k) in enumerate(cases):
-        for bidirected in (False, True):
+        for shape in ("any", "bidirected", "acyclic"):
             p = rng.choice([0.3, 0.4, 0.5, 0.6])
-            succ, pred = _dense_instance(rng, n, p, bidirected)
+            succ, pred = _dense_instance(rng, n, p, shape)
             moves = subsets_upto(n, k)
             for mono in (False, True):
                 for strong in (False, True):
                     args = (succ, pred, n, moves, mono, strong)
-                    expect = naive_solve_visible(*args, 10**9)
-                    assert pykernels.solve_visible(*args, 10**9) == expect
-                    total = expect[2]
-                    for budget in (1, total // 3, total - 1, total):
-                        want = _golden_entry(lambda: naive_solve_visible(*args, budget))
-                        got = _golden_entry(lambda: pykernels.solve_visible(*args, budget))
-                        assert got == want, (trial, bidirected, mono, strong, budget)
+                    where = (trial, shape, mono, strong)
+                    win, strategy, vertex_level = naive_solve_visible(*args, 10**9)
+                    got = pykernels.solve_visible(*args, 10**9)
+                    count = got[2]
+                    assert got[:2] == (win, strategy), where
+                    if shape == "acyclic":
+                        assert count == vertex_level, where
+                    else:
+                        assert count <= vertex_level, where
+                    for budget in (count, 2 * count):
+                        assert pykernels.solve_visible(*args, budget) == got, where
+                    for budget in (1, count // 3, count - 1):
+                        with pytest.raises(StateBudgetExceededError) as err:
+                            pykernels.solve_visible(*args, budget)
+                        assert err.value.budget == budget, where
+                        assert err.value.explored > budget, where
 
 
 def _check_invisible(n, arcs, ks):

@@ -72,6 +72,11 @@ def test_connected_graph_class_counts():
         assert len(enumerate_connected_graphs(n)) == count
 
 
+def test_connected_graphs_reject_negative_n():
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_connected_graphs(-1)
+
+
 def test_canonical_key_invariant_under_relabeling():
     rng = random.Random(17)
     for trial in range(40):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from .hardproblems import (
     min_feedback_vertex_set,
     width_annotated_report,
 )
-from .reports import rows_to_csv, rows_to_jsonl
+from .reports import csv_line, rows_to_csv, rows_to_jsonl
 from .solver import (
     DEFAULT_STATE_BUDGET,
     Certificate,
@@ -287,45 +288,39 @@ def _cmd_gapscan(args):
     if cert_dir is not None:
         with _writing(cert_dir):
             cert_dir.mkdir(parents=True, exist_ok=True)
-    cert_paths = {}
-
-    def write_certificates(rec):
-        # the scan drops each record's certificates once this returns
-        if cert_dir is None:
-            return
-        for which, cert in (
-            ("plain", rec.certificate_plain),
-            ("monotone", rec.certificate_monotone),
-        ):
-            if cert is None:
-                continue
-            path = cert_dir / f"{rec.graph_id}.{rec.variant}.{which}.cert.json"
-            with _writing(path):
-                path.write_text(cert.to_json_text(), encoding="utf-8")
-            cert_paths[(rec.graph_id, which)] = str(path)
 
     with _output(args.out) as out:
+        def write_record(rec):
+            # the certificates first, then the row that names them
+            row = rec.to_row()
+            for which, cert in (("plain", rec.certificate_plain),
+                                ("monotone", rec.certificate_monotone)):
+                path = None
+                if cert_dir is not None and cert is not None:
+                    path = str(cert_dir / f"{rec.graph_id}.{rec.variant}.{which}.cert.json")
+                    with _writing(path):
+                        Path(path).write_text(cert.to_json_text(), encoding="utf-8")
+                row[f"certificate_{which}"] = path
+            if args.format == "csv":
+                out.write(csv_line(row.get(f) for f in GAP_FIELDS))
+            else:
+                row["attestation"] = rec.attestation
+                out.write(rows_to_jsonl([row]))
+
+        # a source that rejects its parameters does so on its first graph:
+        # draw it before the header, so such a run writes no report
+        graphs = iter(graphs)
+        first = list(itertools.islice(graphs, 1))
+        if args.format == "csv":
+            out.write(csv_line(GAP_FIELDS))
         result = gap_scan(
-            graphs,
+            itertools.chain(first, graphs),
             variant,
             state_budget=args.state_budget,
             jobs=args.jobs,
             measure_runtime=args.timings,
-            sink=write_certificates,
+            sink=write_record,
         )
-        if args.format == "csv":
-            text = rows_to_csv(GAP_FIELDS, (r.to_row() for r in result.records))
-        else:
-            def jsonl_rows():
-                for rec in result.records:
-                    row = rec.to_row()
-                    row["certificate_plain"] = cert_paths.get((rec.graph_id, "plain"))
-                    row["certificate_monotone"] = cert_paths.get((rec.graph_id, "monotone"))
-                    row["attestation"] = rec.attestation
-                    yield row
-
-            text = rows_to_jsonl(jsonl_rows())
-        out.write(text)
     s = result.summary
     print(
         f"scanned {s.instances} instances: {s.gaps_positive} gaps > 0, "

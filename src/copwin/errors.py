@@ -23,15 +23,23 @@ class StateBudgetExceededError(CopwinError):
     """A solve exceeded its arena-transition budget.
 
     Deliberately distinct from a game verdict: callers must never
-    interpret it as a robber win.
+    interpret it as a robber win.  ``explored`` counts the transitions
+    the solve made.  A solve that the pre-flight in ``solver.solve``
+    refuses has explored 0 and carries the pre-flight's arena-size
+    estimate in ``bound``; that estimate is not an upper bound on the
+    transitions a kernel would count.
     """
 
-    def __init__(self, budget, explored):
-        super().__init__(
-            f"state budget exceeded: {explored} arena transitions > budget {budget}"
-        )
+    def __init__(self, budget, explored, bound=None):
+        if bound is None:
+            message = f"state budget exceeded: {explored} arena transitions > budget {budget}"
+        else:
+            message = (f"state budget exceeded: refused before solving, pre-flight arena "
+                       f"estimate {bound} > budget {budget}")
+        super().__init__(message)
         self.budget = budget
         self.explored = explored
+        self.bound = bound
 
 
 class SizeLimitError(CopwinError, ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .arena import GameVariant
@@ -214,7 +214,7 @@ def graph_id_of(d: Digraph) -> str:
 
 
 def _scan_one(args):
-    gid, text, variant_name, state_budget, measure_runtime, verify = args
+    gid, text, variant_name, state_budget, measure_runtime = args
     d = parse_edge_list(text)
     variant = GameVariant.from_name(variant_name)
     if gid is None:
@@ -234,20 +234,17 @@ def _scan_one(args):
     if res.gap > 0:
         # a positive gap must be machine-checkable: replay the plain
         # certificate and reproduce the monotone failure at k = copnum
-        if verify:
-            plain_ok = bool(verify_certificate(d, res.plain.outcome.certificate))
-            retry = solve(d, res.cop_number, variant, monotone=True,
-                          state_budget=state_budget)
-            attestation = {
-                "k": res.cop_number,
-                "plain_certificate_valid": plain_ok,
-                "monotone_winner": retry.winner.value,
-                "monotone_states_explored": retry.states_explored,
-            }
-            if not plain_ok or retry.cops_win:
-                status = "gap-unconfirmed"
-        else:
-            attestation = {"k": res.cop_number, "verified": False}
+        plain_ok = bool(verify_certificate(d, res.plain.outcome.certificate))
+        retry = solve(d, res.cop_number, variant, monotone=True,
+                      state_budget=state_budget)
+        attestation = {
+            "k": res.cop_number,
+            "plain_certificate_valid": plain_ok,
+            "monotone_winner": retry.winner.value,
+            "monotone_states_explored": retry.states_explored,
+        }
+        if not plain_ok or retry.cops_win:
+            status = "gap-unconfirmed"
     return GapRecord(
         gid, d.n, d.m, variant.name,
         res.cop_number, res.monotone_cop_number, res.gap, res.ratio,
@@ -258,7 +255,7 @@ def _scan_one(args):
     )
 
 
-def _scan_records(graphs, variant, state_budget, jobs, measure_runtime, verify):
+def _scan_records(graphs, variant, state_budget, jobs, measure_runtime):
     """Yield one GapRecord per source graph, in source order.
 
     The serial path pulls each graph from the source only when its
@@ -267,7 +264,7 @@ def _scan_records(graphs, variant, state_budget, jobs, measure_runtime, verify):
     def each_task():
         for item in graphs:
             gid, d = item if isinstance(item, tuple) else (None, item)
-            yield (gid, to_edge_list(d), variant.name, state_budget, measure_runtime, verify)
+            yield (gid, to_edge_list(d), variant.name, state_budget, measure_runtime)
 
     tasks = each_task()
     if jobs > 1:
@@ -290,7 +287,6 @@ def gap_scan(
     state_budget: int = DEFAULT_STATE_BUDGET,
     jobs: int = 1,
     measure_runtime: bool = False,
-    verify: bool = True,
     sink: Optional[Callable[[GapRecord], None]] = None,
 ) -> GapScanResult:
     """One GapRecord per instance, in source order, plus a summary.
@@ -302,25 +298,26 @@ def gap_scan(
     are inherently non-reproducible).
 
     The source is read lazily (except with ``jobs > 1``).  With a
-    ``sink``, each record is handed to it as soon as it is made, and the
-    result keeps the record without its two certificates, so a long scan
-    need not hold them all.
+    ``sink``, each record is handed to it as soon as it is made and none
+    is kept: ``records`` is empty and only the summary remains, so a
+    serial scan runs in constant memory.
     """
     records = []
-    for rec in _scan_records(graphs, variant, state_budget, jobs, measure_runtime, verify):
-        if sink is not None:
+    instances = solved = gaps_positive = max_gap = 0
+    max_ratio = 1.0
+    for rec in _scan_records(graphs, variant, state_budget, jobs, measure_runtime):
+        if sink is None:
+            records.append(rec)
+        else:
             sink(rec)
-            rec = replace(rec, certificate_plain=None, certificate_monotone=None)
-        records.append(rec)
-    solved = sum(1 for r in records if r.status in ("ok", "gap-unconfirmed"))
-    gaps_pos = [r for r in records if r.gap]
+        instances += 1
+        if rec.status != "budget-exceeded":
+            solved += 1
+            gaps_positive += rec.gap > 0
+            max_gap = max(max_gap, rec.gap)
+            max_ratio = max(max_ratio, rec.ratio)
     summary = GapScanSummary(
-        instances=len(records),
-        solved=solved,
-        errors=len(records) - solved,
-        gaps_positive=len(gaps_pos),
-        max_gap=max((r.gap for r in records if r.gap is not None), default=0),
-        max_ratio=max((r.ratio for r in records if r.ratio is not None), default=1.0),
+        instances, solved, instances - solved, gaps_positive, max_gap, max_ratio
     )
     return GapScanResult(tuple(records), summary)
 

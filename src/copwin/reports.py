@@ -14,11 +14,13 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def csv_line(cells) -> str:
+    """One CSV line: the cells formatted and comma-joined, newline-ended."""
+    return ",".join(map(format_cell, cells)) + "\n"
+
+
 def rows_to_csv(fields, rows) -> str:
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(format_cell(row.get(f)) for f in fields))
-    return "\n".join(lines) + "\n"
+    return csv_line(fields) + "".join(csv_line(row.get(f) for f in fields) for row in rows)
 
 
 def rows_to_jsonl(rows) -> str:

@@ -198,7 +198,7 @@ def solve(
     else:
         arena_bound = move_count
     if d.n > 0 and arena_bound > state_budget:
-        raise StateBudgetExceededError(state_budget, arena_bound)
+        raise StateBudgetExceededError(state_budget, 0, bound=arena_bound)
     moves = subsets_upto(d.n, k)
     if variant.visibility is Visibility.VISIBLE:
         strong = variant.confinement is Confinement.STRONG_COMPONENT

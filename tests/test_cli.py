@@ -1,14 +1,17 @@
+import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from copwin.arena import VISIBLE_FAST
 from copwin.bits import subsets_upto
 from copwin.cli import main
 from copwin.digraph import to_edge_list
 from copwin.engine import pykernels
-from copwin.lab import random_digraph
+from copwin.lab import enumerate_digraphs, graph_id_of, random_digraph
 from oracles import naive_solve_visible
 
 C3_TEXT = "n 3\n0 1\n1 2\n2 0\n"
@@ -259,6 +262,66 @@ def test_gapscan_cert_dir_writes_verifiable_certificates(capsys, tmp_path, c3_fi
         assert code == 0 and cert_out == "VALID\n"
 
 
+# SHA-256 of the ``gapscan --exhaustive --n 3`` report per (variant,
+# format), recorded when the whole report was still built in memory
+# before it was written; a streamed report must match it byte for byte
+GAPSCAN_N3_DIGESTS = {
+    ("visible", "csv"): "a9902366296a37dbb4217d392cffd0693e7ea4d95943f600e82e35b61abfaf6e",
+    ("visible", "jsonl"): "beb2c4423fef2f8feebc58e4b854b72c72db20a696f80f59a0d81425e48358eb",
+    ("inert", "csv"): "c971475aa3738e141ae454c54194dac8bb0ee6b481ad6b031969f436493dcbb3",
+    ("inert", "jsonl"): "ec1510beffd09cbcce83c196a5a0696da9e57f03207ab78c606e8afcf451ecfd",
+    ("invisible-fast", "csv"): "6cb6d857840a0bb22633f2a006c0a6eb66678ed97d8849260799863779ac415a",
+    ("invisible-fast", "jsonl"): "43ba83f6e9860d5078a319c3d3cdc8746c1a527ef69c3e7d6fad0460d570ce36",
+    ("visible-fast-scc", "csv"): "3271294ac70e46dde36b720a1a6fc8b91bcb3395bb2350298998385de5ee1156",
+    ("visible-fast-scc", "jsonl"):
+        "5f811f7333628e36fe3a86727d73fb4f5aa550b9f85b6339bb63de560485baa7",
+}
+SUMMARY_N3 = "scanned 64 instances: 0 gaps > 0, max gap 0, max ratio 1.0, 0 errors\n"
+
+
+@pytest.mark.parametrize("variant, fmt", sorted(GAPSCAN_N3_DIGESTS))
+def test_gapscan_report_digest(capsys, variant, fmt):
+    code, out, err = run_cli(capsys, "gapscan", "--variant", variant, "--exhaustive",
+                             "--n", "3", "--format", fmt)
+    assert code == 0 and err == SUMMARY_N3
+    assert hashlib.sha256(out.encode()).hexdigest() == GAPSCAN_N3_DIGESTS[variant, fmt]
+
+
+def test_gapscan_cert_dir_digest(capsys, tmp_path):
+    # the JSONL report with the directory written as CERTS, then each
+    # certificate file's name and the SHA-256 of its bytes, in name order
+    cert_dir = tmp_path / "certs"
+    code, out, err = run_cli(capsys, "gapscan", "--variant", "inert", "--exhaustive",
+                             "--n", "3", "--format", "jsonl", "--cert-dir", str(cert_dir))
+    assert code == 0 and err == SUMMARY_N3
+    files = sorted(cert_dir.iterdir())
+    assert len(files) == 128
+    digest = hashlib.sha256(out.replace(str(cert_dir), "CERTS").encode())
+    for path in files:
+        digest.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    assert digest.hexdigest() == "3b41bbcc6e83809157d8e26d005ebfd14e6f8e701c107eb223e8eacb43ca8139"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_gapscan_memory_does_not_grow_with_rows(tmp_path, fmt):
+    # a serial scan writes each row when it is made and keeps none, so ten
+    # times the rows must not raise the peak of traced allocations
+    report = str(tmp_path / "report")
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            assert main(["gapscan", "--random", str(count), "--n", "3", "--p", "0.5",
+                         "--format", fmt, "--out", report]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # warm-up: first-use imports and caches
+    small, large = peak(100), peak(1000)
+    assert large - small < 256 * 1024, (small, large)
+
+
 def test_family_unavailable(capsys):
     code, _, err = run_cli(capsys, "family", "--k", "1", "--variant", "visible")
     assert code == 1
@@ -326,6 +389,27 @@ def test_gapscan_cert_dir_on_file_exit_1(capsys, tmp_path, c3_file):
     path.write_text("")
     code, out, err = run_cli(capsys, "gapscan", "--cert-dir", str(path), c3_file)
     _assert_cannot_write(code, out, err, path)
+
+
+def test_gapscan_failure_mid_scan_keeps_finished_rows(capsys, tmp_path):
+    _, full, _ = run_cli(capsys, "gapscan", "--exhaustive", "--n", "2")
+    second = list(enumerate_digraphs(2))[1]
+    cert_dir = tmp_path / "certs"
+    blocked = cert_dir / f"{graph_id_of(second)}.{VISIBLE_FAST.name}.plain.cert.json"
+    blocked.mkdir(parents=True)
+    report = tmp_path / "r.csv"
+    code, out, err = run_cli(capsys, "gapscan", "--exhaustive", "--n", "2",
+                             "--cert-dir", str(cert_dir), "--out", str(report))
+    _assert_cannot_write(code, out, err, blocked)
+    # the header and the first graph's row, written before the failure
+    assert report.read_text() == "".join(full.splitlines(keepends=True)[:2])
+
+
+def test_preflight_refusal_exit_3(capsys, c3_file):
+    code, out, err = run_cli(capsys, "copnum", "--state-budget", "5", c3_file)
+    assert code == 3 and out == ""
+    assert err == ("error: state budget exceeded: refused before solving, "
+                   "pre-flight arena estimate 48 > budget 5\n")
 
 
 # ---------------------------------------------------------------------------

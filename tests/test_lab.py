@@ -5,8 +5,11 @@ import pytest
 from copwin.arena import INVISIBLE_LAZY, VISIBLE_FAST
 from copwin.digraph import Digraph, fingerprint
 from copwin.errors import ConstructionUnavailableError, SizeLimitError
+from copwin import lab
 from copwin.lab import (
     GAP_FIELDS,
+    GapRecord,
+    GapScanSummary,
     canonical_graph_key,
     counterexample_family,
     enumerate_connected_graphs,
@@ -127,11 +130,31 @@ def test_gap_scan_sink_streams_records_and_drops_certificates():
     assert [count for count, _ in seen] == [1, 2, 3, 4]
     assert [rec for _, rec in seen] == list(full.records)
     assert all(rec.certificate_plain is not None for _, rec in seen)
-    # the result keeps everything but the certificates
-    assert [r.to_row() for r in result.records] == [r.to_row() for r in full.records]
-    assert all(r.certificate_plain is None and r.certificate_monotone is None
-               for r in result.records)
+    # a scan with a sink keeps no record, only the summary
+    assert result.records == ()
     assert result.summary == full.summary
+
+
+def _record(status, gap=None, ratio=None):
+    return GapRecord("g", 2, 0, "visible-fast", None, None, gap, ratio, 0, status)
+
+
+@pytest.mark.parametrize("records, expected", [
+    ([], GapScanSummary(0, 0, 0, 0, 0, 1.0)),
+    ([_record("budget-exceeded")], GapScanSummary(1, 0, 1, 0, 0, 1.0)),
+    ([_record("ok", 0, 1.0), _record("ok", 1, 1.5), _record("budget-exceeded"),
+      _record("gap-unconfirmed", 2, 2.0), _record("ok", 1, 1.25)],
+     GapScanSummary(5, 4, 1, 3, 2, 2.0)),
+])
+def test_gap_scan_summary_tallies_records(monkeypatch, records, expected):
+    monkeypatch.setattr(lab, "_scan_records", lambda *args: iter(records))
+    kept = gap_scan([], VISIBLE_FAST)
+    assert kept.records == tuple(records)
+    assert kept.summary == expected
+    seen = []
+    streamed = gap_scan([], VISIBLE_FAST, sink=seen.append)
+    assert seen == records and streamed.records == ()
+    assert streamed.summary == expected
 
 
 def test_gap_scan_empty_source():

@@ -211,6 +211,18 @@ def test_state_budget_error_is_distinct():
         solve(C3, 1, INVISIBLE_LAZY, state_budget=2)
 
 
+def test_preflight_refusal_reports_no_work():
+    # 4 cop sets of size <= 1 on C3: the visible estimate is 4 * 3 * 4
+    with pytest.raises(StateBudgetExceededError) as err:
+        solve(C3, 1, VISIBLE_FAST, state_budget=5)
+    assert (err.value.budget, err.value.explored, err.value.bound) == (5, 0, 48)
+    assert "refused before solving" in str(err.value)
+    # past the pre-flight, the kernel's own refusal counts real work
+    with pytest.raises(StateBudgetExceededError) as err:
+        solve(C3, 1, VISIBLE_FAST, state_budget=48)
+    assert err.value.bound is None and err.value.explored > 48
+
+
 def test_states_explored_reported():
     out = solve(C3, 2, VISIBLE_FAST)
     assert out.states_explored > 0

@@ -57,6 +57,8 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_CERT = 4
 
+STDOUT = "<stdout>"  # the name an OutputError gives standard output
+
 DEFAULT_SEED = 0
 DEFAULT_P = 0.3
 
@@ -169,16 +171,38 @@ def _writing(path):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _print(*args, **kwargs):
+    """``print`` to stdout; a failed write is an OutputError."""
+    with _writing(STDOUT):
+        print(*args, **kwargs)
+
+
 @contextlib.contextmanager
 def _output(path):
-    """stdout, or ``path`` opened for writing before any work is done."""
+    """A write function for stdout, or for ``path`` opened for writing
+    before any work is done.
+
+    A write that fails, or the close of ``path``, is an OutputError
+    naming the stream (``main`` flushes stdout the same way).
+    """
     if not path:
-        yield sys.stdout
+        yield lambda text: _print(text, end="")
         return
     with _writing(path):
         f = open(path, "w", encoding="utf-8")
-    with f:
-        yield f
+
+    def write(text):
+        with _writing(path):
+            f.write(text)
+
+    try:
+        yield write
+    except BaseException:
+        with contextlib.suppress(OSError):  # the first error is the one to report
+            f.close()
+        raise
+    with _writing(path):
+        f.close()
 
 
 def _cmd_solve(args):
@@ -194,9 +218,9 @@ def _cmd_solve(args):
             "states_explored": outcome.states_explored,
             "graph_sha256": fingerprint(d),
         }
-        print(json.dumps(doc, sort_keys=True))
+        _print(json.dumps(doc, sort_keys=True))
     else:
-        print(outcome.winner.value.upper())
+        _print(outcome.winner.value.upper())
     return EXIT_OK
 
 
@@ -217,9 +241,9 @@ def _cmd_copnum(args):
             "states_explored": res.outcome.states_explored,
             "graph_sha256": fingerprint(d),
         }
-        print(json.dumps(doc, sort_keys=True))
+        _print(json.dumps(doc, sort_keys=True))
     else:
-        print(res.value)
+        _print(res.value)
     return EXIT_OK
 
 
@@ -236,9 +260,9 @@ def _cmd_gap(args):
             "ratio": res.ratio,
             "graph_sha256": fingerprint(d),
         }
-        print(json.dumps(doc, sort_keys=True))
+        _print(json.dumps(doc, sort_keys=True))
     else:
-        print(
+        _print(
             f"cop_number={res.cop_number} monotone_cop_number={res.monotone_cop_number} "
             f"gap={res.gap} ratio={res.ratio!r}"
         )
@@ -258,9 +282,9 @@ def _cmd_width(args):
             "cop_number": report.cop_number,
             "graph_sha256": fingerprint(d),
         }
-        print(json.dumps(doc, sort_keys=True))
+        _print(json.dumps(doc, sort_keys=True))
     else:
-        print(report.value)
+        _print(report.value)
     return EXIT_OK
 
 
@@ -289,7 +313,7 @@ def _cmd_gapscan(args):
         with _writing(cert_dir):
             cert_dir.mkdir(parents=True, exist_ok=True)
 
-    with _output(args.out) as out:
+    with _output(args.out) as write:
         def write_record(rec):
             # the certificates first, then the row that names them
             row = rec.to_row()
@@ -302,17 +326,17 @@ def _cmd_gapscan(args):
                         Path(path).write_text(cert.to_json_text(), encoding="utf-8")
                 row[f"certificate_{which}"] = path
             if args.format == "csv":
-                out.write(csv_line(row.get(f) for f in GAP_FIELDS))
+                write(csv_line(row.get(f) for f in GAP_FIELDS))
             else:
                 row["attestation"] = rec.attestation
-                out.write(rows_to_jsonl([row]))
+                write(rows_to_jsonl([row]))
 
         # a source that rejects its parameters does so on its first graph:
         # draw it before the header, so such a run writes no report
         graphs = iter(graphs)
         first = list(itertools.islice(graphs, 1))
         if args.format == "csv":
-            out.write(csv_line(GAP_FIELDS))
+            write(csv_line(GAP_FIELDS))
         result = gap_scan(
             itertools.chain(first, graphs),
             variant,
@@ -341,9 +365,9 @@ def _cmd_certify(args):
     cert = Certificate.from_json_text(text)
     result = verify_certificate(d, cert)
     if result.valid:
-        print("VALID")
+        _print("VALID")
         return EXIT_OK
-    print("INVALID")
+    _print("INVALID")
     print(f"certificate invalid: {result.reason}", file=sys.stderr)
     return EXIT_CERT
 
@@ -354,9 +378,9 @@ def _cmd_hard(args):
         instances = [(fingerprint(d)[:12], d) for d in graphs]
         rows = width_annotated_report(instances, args.state_budget)
         if args.format == "csv":
-            sys.stdout.write(rows_to_csv(REPORT_FIELDS, rows))
+            _print(rows_to_csv(REPORT_FIELDS, rows), end="")
         else:
-            sys.stdout.write(rows_to_jsonl(rows))
+            _print(rows_to_jsonl(rows), end="")
         return EXIT_OK
     solvers = {
         "ham": hamiltonian_cycle,
@@ -381,9 +405,9 @@ def _cmd_hard(args):
                 "optimal": sol.optimal,
                 "graph_sha256": fingerprint(d),
             }
-            print(json.dumps(doc, sort_keys=True))
+            _print(json.dumps(doc, sort_keys=True))
         else:
-            print(_format_solution(sol))
+            _print(_format_solution(sol))
     return EXIT_OK
 
 
@@ -423,7 +447,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        with _writing(STDOUT):
+            sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,13 +1,15 @@
 """Pure-Python solver kernels.
 
 These are the hot loops: bit-mask reachability, the backward-induction
-attractor for the visible game, and the breadth-first contamination
-search for the invisible games.  There is no compiled twin; the former
+attractor for the visible game, the breadth-first contamination search
+for the plain invisible games and the elimination search for the
+monotone ones.  There is no compiled twin; the former
 kernels in ``tests/oracles.py`` (``naive_solve_visible``,
 ``naive_solve_invisible``) are the references they are tested against.
 
 Kernel inputs are already lowered: successor/predecessor masks, a
-canonically ordered cop-move list, plain ints everywhere.
+canonically ordered cop-move list (visible) or the cop count k
+(invisible), plain ints everywhere.
 
 Per-guard reachability rows.  Between two cop sets C and C' the robber
 runs in D - (C & C'), and the guard C & C' is itself a set of at most k
@@ -53,14 +55,69 @@ subset of the one-shot R'.  In plain play, cops that win from R also
 win from every subset of R, because the contamination update is
 monotone in R.  So the one-vertex search finds a win iff the
 all-subsets search does; its sequences are longer and pass the same
-verifier.  Monotone play is not covered: monotonicity is checked per
-step, and an intermediate placement may recontaminate a vertex that the
-one-shot move keeps clean, so monotone mode still tries every cop set
-in ``moves``.  The steps are cheap: an inert robber runs only from a
+verifier.  The steps are cheap: an inert robber runs only from a
 placed cop's vertex, avoiding C; a fast robber's contamination is
 always closed under reach avoiding C, so a placement just removes the
 vertex, and a lift lets robbers out only through the lifted vertex, and
 only if R has an arc into it.
+
+One-vertex eliminations in the monotone invisible games.  Monotone
+mode searches cleared sets W (contamination R = V - W) instead of
+states (C, R).  A step eliminates one contaminated vertex v; it is
+allowed iff
+
+* inert: 1 + |B| <= k, where B is the set of W-vertices with an arc
+  from X_v = ``reach_mask(succ, 1 << v, W)``, the vertices v reaches
+  inside R;
+* fast: |dR| + 1 <= k, where dR is the set of W-vertices with a
+  predecessor in R.
+
+The search is a depth-first search from W = {} that tries v in
+ascending order and remembers the dead W (those from which no allowed
+sequence clears V).  The fast check depends on W only, so a W whose dR
+is already too big tries no v.  ``transitions`` counts the (W, v) pairs
+tried.  A cleared V is played as the cop sets
+
+* inert, per eliminated v: B if B is not a subset of the cops on the
+  graph, then B + {v};
+* fast, per eliminated v: dR + {v}.
+
+This is exact.  Every reachable monotone state (C, R) has C and R
+disjoint, and in the fast game R is closed under reach avoiding C, so
+dR is a subset of C.
+
+1. Only R matters.  From (C, R), every C2 disjoint from R (containing
+   dR in the fast game) is one monotone move away with R unchanged: no
+   inert robber is hit, and every fast robber's exit from R is guarded
+   by dR, a subset of C & C2.
+2. A monotone move C -> C' leaves R - S, with S = R & C': the update
+   keeps every contaminated vertex no cop lands on and adds only
+   vertices outside R, which monotone play forbids.  Let the
+   boundary of S be, inert: the W-vertices with an arc from X_S, the
+   vertices S reaches inside R; fast: dR.  Every boundary vertex is in
+   C': an inert robber hit in S runs through X_S, which misses the
+   guard C & C', onto any boundary vertex outside the guard, so it
+   must be in C'; a fast robber reaches every vertex of dR outside the
+   guard, and such a vertex, being in C, is not in C'.  So
+   |C'| >= |S| + |boundary of S|.
+3. Removing S one vertex at a time never costs more.  Eliminate
+   v_1, ..., v_s of S in any order.  At step i the cleared set is
+   W + {v_1 .. v_(i-1)}, and the step's B (inert, since X_(v_i) is
+   within X_S) or dR (fast) is within the boundary of S plus
+   {v_1 .. v_(i-1)}.  So the step costs at most
+   1 + (i - 1) + |boundary of S| <= |S| + |boundary of S| <= k.
+4. Conversely, each allowed elimination is played by the moves above.
+   Inert: the move to B lands on no contaminated vertex, and the move
+   to B + {v} keeps B on the ground, so the robber hit at v runs
+   through X_v only and R loses exactly v.  Fast: the move keeps dR on
+   the ground, so robbers stay in R, and R loses exactly v.  Both use
+   at most k cops and are monotone, and dR + {v} contains the boundary
+   of R - v.
+
+So k cops win the monotone game iff some elimination order clears V,
+and the sequence built from it passes the verifier.  A state of the
+search is a set W, not a pair (C, R), so a solve touches at most 2^n
+states and tries at most n steps from each.
 """
 from __future__ import annotations
 
@@ -264,30 +321,31 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
     return True, strategy, transitions
 
 
-def solve_invisible(succ, n, moves, lazy, monotone, budget):
-    """Breadth-first search over contamination states (C, R) from (0, V).
+def solve_invisible(succ, n, k, lazy, monotone, budget):
+    """Search for a cop win against an invisible robber with k cops.
 
-    Single-player: the cops win iff some move sequence empties R.
-    Returns (cops_win, sequence_of_cop_masks, transitions).  Monotone
-    play tries every cop set in ``moves`` from each state, plain play
-    only the cop sets one lift or one placement away (see the module
-    docstring).  BFS plus the fixed move order makes the found sequence
-    deterministic: shortest, then earliest in move order.
+    Single-player: the cops win iff some move sequence empties the
+    contamination.  Returns (cops_win, sequence_of_cop_masks,
+    transitions).  Plain play is a breadth-first search over
+    contamination states (C, R) from (0, V) with one-vertex moves;
+    monotone play is a depth-first search over one-vertex eliminations
+    (see the module docstring).  The fixed vertex order makes the found
+    sequence deterministic.
     """
     full = (1 << n) - 1
     if full == 0:
         return True, [], 0
-    if not monotone:
-        k = max(c.bit_count() for c in moves)  # moves: every cop set of size <= k
-        toggles = {}
-        if not lazy:
-            pred = [0] * n
-            for u in range(n):
-                f = succ[u]
-                while f:
-                    low = f & -f
-                    pred[low.bit_length() - 1] |= 1 << u
-                    f ^= low
+    if monotone:
+        return _eliminate(succ, n, k, lazy, budget)
+    toggles = {}
+    if not lazy:
+        pred = [0] * n
+        for u in range(n):
+            f = succ[u]
+            while f:
+                low = f & -f
+                pred[low.bit_length() - 1] |= 1 << u
+                f ^= low
     seen = {full}  # key (C << n) | R; the start has C = 0, R = V
     state_c = [0]
     state_r = [full]
@@ -301,27 +359,20 @@ def solve_invisible(succ, n, moves, lazy, monotone, budget):
         rmask = state_r[head]
         sid = head
         head += 1
-        if monotone:
-            cands = moves
-        else:
-            cands = toggles.get(cmask)
-            if cands is None:
-                cands = toggles[cmask] = _toggles(n, k, cmask)
+        cands = toggles.get(cmask)
+        if cands is None:
+            cands = toggles[cmask] = _toggles(n, k, cmask)
         for cj in cands:
-            if lazy and cj == cmask:  # inert robbers never move on their own
-                continue
             transitions += 1
             if transitions > budget:
                 raise StateBudgetExceededError(budget, transitions)
-            # robbers run from the vertices C' lands on (lazy) or from
-            # everywhere (fast); the reach is the OR of the source rows
+            # robbers run from the vertex C' lands on (lazy) or from a
+            # lifted cop's vertex, if R has an arc into it (fast: R is
+            # closed under reach avoiding C); the reach is the OR of the
+            # source rows
             if lazy:
                 f = rmask & cj
-            elif monotone:
-                f = rmask
             else:
-                # R is closed under reach avoiding C, so only a lifted
-                # cop's vertex, entered from R, lets robbers out
                 f = cmask & ~cj
                 if f and not pred[f.bit_length() - 1] & rmask:
                     f = 0
@@ -339,8 +390,6 @@ def solve_invisible(succ, n, moves, lazy, monotone, budget):
                         rp |= row[low.bit_length() - 1]
                         f ^= low
             rp &= ~cj
-            if monotone and rp & ~rmask:
-                continue
             if rp == 0:
                 seq = [cj]
                 cur = sid
@@ -356,6 +405,75 @@ def solve_invisible(succ, n, moves, lazy, monotone, budget):
                 state_r.append(rp)
                 parent.append(sid)
     return False, None, transitions
+
+
+def _eliminate(succ, n, k, lazy, budget):
+    """Monotone play: depth-first search over cleared sets W, one
+    eliminated vertex per step (see the module docstring)."""
+    full = (1 << n) - 1
+    if k == 0:  # every elimination needs a cop on the eliminated vertex
+        return False, None, 0
+    transitions = 0
+    dead = set()
+    w = 0
+    order = []  # the vertex bits eliminated so far, W their union
+    # per W along the path: the contaminated vertices not tried yet
+    stack_left = [full]  # the boundary of R = V is empty
+    while stack_left:
+        left = stack_left[-1]
+        if not left:
+            dead.add(w)
+            stack_left.pop()
+            if order:
+                w ^= order.pop()
+            continue
+        low = left & -left
+        stack_left[-1] = left ^ low
+        transitions += 1
+        if transitions > budget:
+            raise StateBudgetExceededError(budget, transitions)
+        if (w | low) in dead:
+            continue
+        if lazy and _boundary(succ, reach_mask(succ, low, w), w).bit_count() >= k:
+            continue
+        order.append(low)
+        w |= low
+        if w == full:
+            return True, _sequence(succ, full, order, lazy), transitions
+        # fast: the boundary depends on W only; too big, and W tries nothing
+        r = full & ~w
+        stack_left.append(r if lazy or _boundary(succ, r, w).bit_count() < k else 0)
+    return False, None, transitions
+
+
+def _boundary(succ, r, w):
+    """W-vertices with a predecessor in R."""
+    out = 0
+    while r:
+        low = r & -r
+        out |= succ[low.bit_length() - 1]
+        r ^= low
+    return out & w
+
+
+def _sequence(succ, full, order, lazy):
+    """The cop sets that play the eliminations ``order`` (vertex bits)."""
+    seq = []
+    cops = 0
+    w = 0
+    r = full
+    for low in order:
+        if lazy:
+            b = _boundary(succ, reach_mask(succ, low, w), w)
+            if b & ~cops:
+                seq.append(b)
+            cops = b | low
+        else:
+            cops = _boundary(succ, r, w) | low
+        seq.append(cops)
+        w |= low
+        r ^= low
+    return seq
 
 
 def _toggles(n, k, cmask):

@@ -1,9 +1,10 @@
 """Exact game solving: winners, cop numbers, strategy certificates.
 
 The visible game is solved by backward induction (attractor) over the
-strong-component quotient of the bipartite arena; the invisible games
-by a memoized breadth-first search over contamination states.  Both
-are exact; exceeding the transition budget raises
+strong-component quotient of the bipartite arena; the plain invisible
+games by a breadth-first search over contamination states, the
+monotone ones by a depth-first search over one-vertex eliminations.
+All are exact; exceeding the transition budget raises
 StateBudgetExceededError, never a silent robber verdict.
 
 Certificates are replayable by ``verify_certificate``, which is written
@@ -191,7 +192,7 @@ def solve(
     if not 0 <= k <= d.n:
         raise ValueError(f"cop budget {k} outside 0..{d.n}")
     backend = get_backend(engine)
-    # refuse obviously hopeless instances before materializing the move list
+    # refuse obviously hopeless instances before any work
     move_count = sum(math.comb(d.n, i) for i in range(k + 1))
     if variant.visibility is Visibility.VISIBLE:
         arena_bound = move_count * d.n * move_count
@@ -199,9 +200,9 @@ def solve(
         arena_bound = move_count
     if d.n > 0 and arena_bound > state_budget:
         raise StateBudgetExceededError(state_budget, 0, bound=arena_bound)
-    moves = subsets_upto(d.n, k)
     if variant.visibility is Visibility.VISIBLE:
         strong = variant.confinement is Confinement.STRONG_COMPONENT
+        moves = subsets_upto(d.n, k)
         cops_win, strategy, transitions = backend.solve_visible(
             d.succ_masks, d.pred_masks, d.n, moves, monotone, strong, state_budget
         )
@@ -211,7 +212,7 @@ def solve(
         return Outcome(Winner.COPS, cert, transitions)
     lazy = variant.agility is Agility.LAZY
     cops_win, seq, transitions = backend.solve_invisible(
-        d.succ_masks, d.n, moves, lazy, monotone, state_budget
+        d.succ_masks, d.n, k, lazy, monotone, state_budget
     )
     if not cops_win:
         return Outcome(Winner.ROBBER, None, transitions)

@@ -60,11 +60,13 @@ def dag_width(
 def kelly_width(
     d: Digraph, state_budget: int = DEFAULT_STATE_BUDGET, engine: Optional[str] = None
 ) -> WidthReport:
-    """Monotone invisible lazy-robber cop number, reported raw (offset 0).
+    """Monotone invisible lazy-robber cop number (offset 0).
 
-    Elimination-order formulations of this measure differ by one from
-    the raw cop count; we report the cop count and record the offset
-    explicitly so callers can normalize either way.
+    This cop number is the minimum elimination width plus one, that is
+    the Kelly-width (Hunter & Kreutzer, TCS 2008): the monotone search
+    clears one vertex v per step with 1 + |B| cops, B the cleared
+    vertices v reaches through the contamination, and its clearing
+    order read backwards is an elimination ordering of width max |B|.
     """
     return _game_width(d, "kelly-width", INVISIBLE_LAZY, 0, state_budget, engine)
 
@@ -72,7 +74,13 @@ def kelly_width(
 def directed_path_width(
     d: Digraph, state_budget: int = DEFAULT_STATE_BUDGET, engine: Optional[str] = None
 ) -> WidthReport:
-    """Monotone invisible fast-robber cop number minus one."""
+    """Monotone invisible fast-robber cop number minus one.
+
+    That is the directed vertex separation number (Barát 2006): the
+    monotone search clears the vertices in a linear order, and the cops
+    it needs are one more than the largest |{w in W : w has a
+    predecessor outside W}| over the order's prefixes W.
+    """
     return _game_width(d, "directed-path-width", INVISIBLE_FAST, -1, state_budget, engine)
 
 

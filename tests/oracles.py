@@ -7,7 +7,7 @@ are the former kernels on bit masks, kept with their own reachability
 helpers: ``naive_solve_visible``, the vertex-level visible attractor,
 the reference for the kernel's strong-component quotient; and
 ``naive_solve_invisible``, the contamination search over every cop set,
-the reference for the kernel's one-vertex moves.
+the reference for the kernel's one-vertex moves and eliminations.
 """
 import itertools
 
@@ -321,9 +321,9 @@ def naive_solve_invisible(succ, n, moves, lazy, monotone, budget):
     """Breadth-first search over contamination states (C, R) from (0, V),
     trying every cop set of ``moves`` from every state.
 
-    ``pykernels.solve_invisible`` must return exactly this in monotone
-    mode; in plain mode it tries one-vertex moves only and must agree on
-    the verdict.
+    ``pykernels.solve_invisible`` must agree on the verdict: in plain
+    mode it tries one-vertex moves only, in monotone mode one-vertex
+    eliminations.
 
     Single-player: the cops win iff some move sequence empties R.
     Returns (cops_win, sequence_of_move_masks, transitions); the BFS

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -89,16 +90,21 @@ def test_certify_round_trip(capsys, tmp_path, c3_file):
 
 
 def test_copnum_inert_n12_within_default_budget(capsys, tmp_path):
-    # the all-subsets search ran out of the default budget here; one-vertex
-    # moves answer, and the longer sequence they emit still verifies
+    # the all-subsets search ran out of the default budget here, plain
+    # and monotone; one-vertex moves and one-vertex eliminations answer,
+    # and the longer sequences they emit still verify
     graph = tmp_path / "r12.edges"
     graph.write_text(to_edge_list(random_digraph(12, 0.3, 1)))
     cert = tmp_path / "cert.json"
-    code, out, _ = run_cli(capsys, "copnum", "--variant", "inert",
-                           "--emit-cert", str(cert), str(graph))
-    assert (code, out) == (0, "4\n")
-    code, out, _ = run_cli(capsys, "certify", str(graph), str(cert))
-    assert (code, out) == (0, "VALID\n")
+    for flags in ([], ["--monotone"]):
+        code, out, _ = run_cli(capsys, "copnum", "--variant", "inert", *flags,
+                               "--emit-cert", str(cert), str(graph))
+        assert (code, out) == (0, "4\n"), flags
+        code, out, _ = run_cli(capsys, "certify", str(graph), str(cert))
+        assert (code, out) == (0, "VALID\n"), flags
+    for measure, expected in (("kellywidth", "4\n"), ("dpw", "3\n")):
+        code, out, _ = run_cli(capsys, "width", "--measure", measure, str(graph))
+        assert (code, out) == (0, expected), measure
 
 
 def test_solve_visible_budget_counts_quotient_work(capsys, tmp_path):
@@ -130,13 +136,14 @@ def test_solve_zero_cops_on_huge_vertex_id(tmp_path, variant):
         "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
         "from copwin.cli import main; sys.exit(main(sys.argv[1:]))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "solve", "--variant", variant, "--cops", "0",
-         str(graph)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ROBBER\n"
+    for flags in ([], ["--monotone"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "solve", "--variant", variant, "--cops", "0",
+             *flags, str(graph)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)
+        assert proc.stdout == "ROBBER\n", flags
 
 
 def test_certify_wrong_graph_exit_4(capsys, tmp_path, c3_file):
@@ -299,7 +306,7 @@ def test_gapscan_cert_dir_digest(capsys, tmp_path):
     digest = hashlib.sha256(out.replace(str(cert_dir), "CERTS").encode())
     for path in files:
         digest.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
-    assert digest.hexdigest() == "3b41bbcc6e83809157d8e26d005ebfd14e6f8e701c107eb223e8eacb43ca8139"
+    assert digest.hexdigest() == "cbb7a777927abb4ba3000f4306070deca0e3bcfa1165c22e8e8a5b9a336a02a0"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -382,6 +389,35 @@ def test_gapscan_out_unwritable_exit_1_before_scan(capsys, tmp_path, monkeypatch
     code, out, err = run_cli(capsys, "gapscan", "--n", "3", "--exhaustive",
                              "--out", str(path))
     _assert_cannot_write(code, out, err, path)
+
+
+def _run_to_full_device(*argv):
+    """Exit code and stderr of the CLI run with stdout on /dev/full,
+    where every write fails."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "copwin.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    return proc.returncode, proc.stderr
+
+
+needs_full_device = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+
+
+@needs_full_device
+def test_gapscan_out_full_device_exit_1():
+    code, err = _run_to_full_device("gapscan", "--exhaustive", "--n", "2", "--out", "/dev/full")
+    _assert_cannot_write(code, "", err, "/dev/full")
+
+
+@needs_full_device
+@pytest.mark.parametrize("command", ["gapscan", "gap"])
+def test_stdout_full_device_exit_1(c3_file, command):
+    argv = {"gapscan": ["gapscan", "--exhaustive", "--n", "2"], "gap": ["gap", c3_file]}
+    code, err = _run_to_full_device(*argv[command])
+    _assert_cannot_write(code, "", err, "<stdout>")
 
 
 def test_gapscan_cert_dir_on_file_exit_1(capsys, tmp_path, c3_file):

@@ -1,6 +1,6 @@
 """Solver kernels: golden digests of their outputs, and agreement with
 the former kernels kept in ``tests/oracles.py`` (winners, strategies,
-sequences, and how the transition counts that feed the budget compare)."""
+certificates, and how the transition counts that feed the budget compare)."""
 import hashlib
 import random
 
@@ -35,8 +35,8 @@ def _random_instance(rng, max_n=6):
 # count; GOLDEN_VISIBLE_STRATEGY pins winners and strategies only and
 # was recorded on the vertex-level count, so it shows that the count
 # change moved nothing else.  The invisible stream is split by mode: the
-# monotone digests were recorded on the all-subsets search and still
-# hold, the plain ones on the one-vertex-move search.
+# plain digests were recorded on the one-vertex-move search, the
+# monotone ones on the one-vertex-elimination search.
 GOLDEN_BUDGETS = (3, 40, 400, 3000)
 GOLDEN_VISIBLE_STRATEGY = "ff07f01430a41bfc9d7b35c68fd64e4187467449da68931671998e635ef2629d"
 GOLDEN_VISIBLE = {
@@ -44,8 +44,8 @@ GOLDEN_VISIBLE = {
     GOLDEN_BUDGETS: "89fa1e66e39d69b5889e4a6ca6981272a5776e15a210ad7072159e88b6306823",
 }
 GOLDEN_INVISIBLE = {
-    (10**7,): "3b5d87df2a978593c7df42cf27f368195100220d07b8c7fe535fb01680cf7490",
-    GOLDEN_BUDGETS: "418fa29796fae27a12d3000fc598e51f2ec7ae90df37df7b19506fe027937841",
+    (10**7,): "a1f7536fed00dc4ac4ead8e51d5a801ec707bd53bd6abefd457ff6c16a847ff2",
+    GOLDEN_BUDGETS: "e5c8d6c7a933c531f3babe89a541a07b25ffec16e4c3ed3f7a13787272bd14c7",
 }
 GOLDEN_INVISIBLE_PLAIN = {
     (10**7,): "1b81824d2bcb29f1031c705bd3e669f42179f3d397a5f4c14faff9894348dcc9",
@@ -99,11 +99,10 @@ def _invisible_digest(budgets, mono):
     for trial in range(150):
         n, succ, _ = _random_instance(rng)
         k = rng.randint(0, n)
-        moves = subsets_upto(n, k)
         for lazy in (False, True):
             for budget in budgets:
                 entry = _golden_entry(lambda: pykernels.solve_invisible(
-                    succ, n, moves, lazy, mono, budget))
+                    succ, n, k, lazy, mono, budget))
                 h.update(repr(entry).encode())
     return h.hexdigest()
 
@@ -171,28 +170,27 @@ def test_visible_quotient_matches_vertex_level_oracle():
 
 
 def _check_invisible(n, arcs, ks):
-    """Plain: the oracle's verdict and a valid certificate; monotone: the
-    oracle's exact result."""
+    """Plain and monotone: the oracle's verdict and, on a cop win, a
+    certificate that verifies in the same mode."""
     d = Digraph(n, arcs)
     succ = d.succ_masks
     for k in ks:
         moves = subsets_upto(n, k)
         for lazy in (True, False):
-            win, seq, _ = pykernels.solve_invisible(succ, n, moves, lazy, False, 10**8)
-            assert win == naive_solve_invisible(succ, n, moves, lazy, False, 10**8)[0], (
-                arcs, k, lazy)
-            if win:
-                cert = Certificate(
-                    variant="invisible-lazy" if lazy else "invisible-fast",
-                    k=k,
-                    monotone=False,
-                    graph_sha256=fingerprint(d),
-                    kind="sequence",
-                    body=tuple(mask_to_tuple(c) for c in seq),
-                )
-                assert verify_certificate(d, cert).valid, (arcs, k, lazy)
-            assert pykernels.solve_invisible(succ, n, moves, lazy, True, 10**8) == (
-                naive_solve_invisible(succ, n, moves, lazy, True, 10**8)), (arcs, k, lazy)
+            for mono in (False, True):
+                where = (arcs, k, lazy, mono)
+                win, seq, _ = pykernels.solve_invisible(succ, n, k, lazy, mono, 10**8)
+                assert win == naive_solve_invisible(succ, n, moves, lazy, mono, 10**8)[0], where
+                if win:
+                    cert = Certificate(
+                        variant="invisible-lazy" if lazy else "invisible-fast",
+                        k=k,
+                        monotone=mono,
+                        graph_sha256=fingerprint(d),
+                        kind="sequence",
+                        body=tuple(mask_to_tuple(c) for c in seq),
+                    )
+                    assert verify_certificate(d, cert).valid, where
 
 
 def test_invisible_moves_match_subset_oracle_census():

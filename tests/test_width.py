@@ -108,6 +108,15 @@ def test_bidirected_classics_small():
         tw = treewidth_exact(n, edges)
         assert dag_width(b).value == tw + 1
         assert kelly_width(b).value == tw + 1
+    # Kelly-width alone on larger random graphs, where the monotone
+    # inert search is an elimination ordering DP like treewidth_exact's
+    rng = random.Random(9)
+    for trial in range(30):
+        n = rng.randint(6, 10)
+        p = rng.choice([0.2, 0.35, 0.5])
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        assert kelly_width(bidirect(n, edges)).value == treewidth_exact(n, edges) + 1, (
+            n, edges)
 
 
 def test_widths_invariant_under_relabeling():

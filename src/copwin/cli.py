@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -19,7 +20,6 @@ from .arena import GameVariant
 from .digraph import Digraph, fingerprint, parse_edge_list
 from .errors import (
     CertificateError,
-    ConstructionUnavailableError,
     EdgeListParseError,
     SizeLimitError,
     StateBudgetExceededError,
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .lab import (
     GAP_FIELDS,
-    counterexample_family,
     enumerate_digraphs,
     gap_scan,
     random_digraph,
@@ -76,6 +75,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)  # built on first use; parse_args leaves it unchanged
 def _build_parser():
     parser = _Parser(prog="copwin", description=__doc__)
     parser.add_argument("--version", action="version", version=f"copwin {__version__}")
@@ -89,7 +89,6 @@ def _build_parser():
                            help="restrict the cops to monotone strategies")
         p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
                        help=f"arena-transition budget (default {DEFAULT_STATE_BUDGET})")
-        p.add_argument("--engine", default=None, help="kernel backend: py (the only one)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("solve", help="decide the winner for a fixed cop count")
@@ -110,7 +109,6 @@ def _build_parser():
     p = sub.add_parser("width", help="game-characterized width measures")
     p.add_argument("--measure", required=True, choices=["dagwidth", "kellywidth", "dpw"])
     p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
-    p.add_argument("--engine", default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("graph")
 
@@ -143,10 +141,6 @@ def _build_parser():
                    help="report output format (report subcommand)")
     p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
     p.add_argument("graphs", nargs="+", help="edge-list files")
-
-    p = sub.add_parser("family", help="published counterexample family member")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--variant", default="visible")
     return parser
 
 
@@ -155,6 +149,8 @@ def _load_graph(path) -> Digraph:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise EdgeListParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise EdgeListParseError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_edge_list(text)
 
 
@@ -208,7 +204,7 @@ def _output(path):
 def _cmd_solve(args):
     d = _load_graph(args.graph)
     variant = _variant(args.variant)
-    outcome = solve(d, args.cops, variant, args.monotone, args.state_budget, args.engine)
+    outcome = solve(d, args.cops, variant, args.monotone, args.state_budget)
     if args.json:
         doc = {
             "winner": outcome.winner.value,
@@ -227,7 +223,7 @@ def _cmd_solve(args):
 def _cmd_copnum(args):
     d = _load_graph(args.graph)
     variant = _variant(args.variant)
-    res = cop_number(d, variant, args.monotone, args.state_budget, args.engine)
+    res = cop_number(d, variant, args.monotone, args.state_budget)
     if args.emit_cert:
         with _writing(args.emit_cert):
             Path(args.emit_cert).write_text(
@@ -250,7 +246,7 @@ def _cmd_copnum(args):
 def _cmd_gap(args):
     d = _load_graph(args.graph)
     variant = _variant(args.variant)
-    res = gap(d, variant, args.state_budget, args.engine)
+    res = gap(d, variant, args.state_budget)
     if args.json:
         doc = {
             "variant": variant.name,
@@ -271,7 +267,7 @@ def _cmd_gap(args):
 
 def _cmd_width(args):
     d = _load_graph(args.graph)
-    report = width_by_name(args.measure)(d, args.state_budget, args.engine)
+    report = width_by_name(args.measure)(d, args.state_budget)
     if args.json:
         doc = {
             "measure": report.measure,
@@ -423,12 +419,6 @@ def _format_solution(sol):
     return f"{sol.problem} value={sol.value} witness={witness}"
 
 
-def _cmd_family(args):
-    variant = _variant(args.variant)
-    counterexample_family(args.k, variant)
-    return EXIT_OK  # pragma: no cover - family always raises for now
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "copnum": _cmd_copnum,
@@ -437,7 +427,6 @@ _COMMANDS = {
     "gapscan": _cmd_gapscan,
     "certify": _cmd_certify,
     "hard": _cmd_hard,
-    "family": _cmd_family,
 }
 
 
@@ -463,8 +452,7 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return EXIT_CERT
-    except (UnsupportedVariantError, SizeLimitError, ConstructionUnavailableError, ValueError,
-            OutputError) as exc:
+    except (UnsupportedVariantError, SizeLimitError, ValueError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

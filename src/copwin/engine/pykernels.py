@@ -11,19 +11,19 @@ Kernel inputs are already lowered: successor/predecessor masks, a
 canonically ordered cop-move list (visible) or the cop count k
 (invisible), plain ints everywhere.
 
-Per-guard reachability rows.  Between two cop sets C and C' the robber
-runs in D - (C & C'), and the guard C & C' is itself a set of at most k
+Memoised robber runs.  Between two cop sets C and C' the robber runs
+in D - (C & C'), and the guard C & C' is itself a set of at most k
 vertices, hence one of the m cop moves.  So a solve needs reachability
-avoiding at most m distinct guards.  The kernels keep, per guard, the
-row ``reach_mask(adj, 1 << v, guard)`` for every vertex v (0 for v in
-the guard): all rows together cost at most m*n BFS calls and m*n ints
-per solve, instead of one BFS per transition.  Any reachable set is the OR of the rows of its
-sources, so every result is unchanged.  The visible kernel builds the
-rows of a cop set's guards when it first expands that cop set; the
-invisible kernel builds a guard's row at the guard's n-th meeting and
-searches directly before that, so a guard met only a few times (the
-single transition of a 0-cop fast-robber search, say) never pays n
-BFS calls.
+avoiding at most m distinct guards.  The visible kernel keeps, per
+guard, the row ``reach_mask(adj, 1 << v, guard)`` for every vertex v
+(0 for v in the guard), built when it first expands a cop set with that
+guard: all rows together cost at most m*n BFS calls and m*n ints per
+solve, instead of one BFS per transition, and any reachable set is the
+OR of the rows of its sources.  In the plain invisible search every
+robber run starts at a single vertex v (see the one-vertex moves
+below), so that kernel memoises each run ``reach_mask(succ, 1 << v,
+guard)`` on its first use, under the key guard * n + v.  Either way
+every result is unchanged.
 
 Strong-component quotient of the visible arena.  The visible kernel
 solves one position per (cop set C, strong component of D - C), not one
@@ -123,8 +123,6 @@ from __future__ import annotations
 
 from ..errors import StateBudgetExceededError
 
-NAME = "py"
-
 
 def reach_mask(succ, src, forbidden):
     closed = src & ~forbidden
@@ -147,19 +145,6 @@ def _rows(cache, adj, n, guard):
     if row is None:
         row = cache[guard] = [reach_mask(adj, 1 << v, guard) for v in range(n)]
     return row
-
-
-def _met_row(cache, met, adj, n, guard):
-    """The row of ``guard`` from its n-th meeting on, else None.
-
-    A row costs n BFS calls; waiting for n meetings keeps the total
-    within about twice the BFS calls of searching at every meeting.
-    """
-    count = met.get(guard, 0) + 1
-    if count < n:
-        met[guard] = count
-        return None
-    return _rows(cache, adj, n, guard)
 
 
 def solve_visible(succ, pred, n, moves, monotone, strong, budget):
@@ -351,8 +336,7 @@ def solve_invisible(succ, n, k, lazy, monotone, budget):
     state_r = [full]
     parent = [-1]
     transitions = 0
-    rows = {}
-    met = {}
+    runs = {}  # guard * n + v -> reach_mask(succ, 1 << v, guard)
     head = 0
     while head < len(state_c):
         cmask = state_c[head]
@@ -368,8 +352,7 @@ def solve_invisible(succ, n, k, lazy, monotone, budget):
                 raise StateBudgetExceededError(budget, transitions)
             # robbers run from the vertex C' lands on (lazy) or from a
             # lifted cop's vertex, if R has an arc into it (fast: R is
-            # closed under reach avoiding C); the reach is the OR of the
-            # source rows
+            # closed under reach avoiding C); f is that one vertex or 0
             if lazy:
                 f = rmask & cj
             else:
@@ -379,16 +362,11 @@ def solve_invisible(succ, n, k, lazy, monotone, budget):
             rp = rmask
             if f:
                 guard = cmask & cj
-                row = rows.get(guard)
-                if row is None:
-                    row = _met_row(rows, met, succ, n, guard)
-                if row is None:
-                    rp |= reach_mask(succ, f, guard)
-                else:
-                    while f:
-                        low = f & -f
-                        rp |= row[low.bit_length() - 1]
-                        f ^= low
+                key = guard * n + f.bit_length() - 1
+                run = runs.get(key)
+                if run is None:
+                    run = runs[key] = reach_mask(succ, f, guard)
+                rp |= run
             rp &= ~cj
             if rp == 0:
                 seq = [cj]

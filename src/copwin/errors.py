@@ -49,6 +49,3 @@ class SizeLimitError(CopwinError, ValueError):
 class CertificateError(CopwinError):
     """Malformed certificate or certificate/graph fingerprint mismatch."""
 
-
-class ConstructionUnavailableError(CopwinError, NotImplementedError):
-    """A published gadget construction has not been transcribed into code."""

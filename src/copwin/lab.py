@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 
 from .arena import GameVariant
 from .digraph import Digraph, fingerprint, parse_edge_list, to_edge_list
-from .errors import ConstructionUnavailableError, SizeLimitError, StateBudgetExceededError
+from .errors import SizeLimitError, StateBudgetExceededError
 from .solver import DEFAULT_STATE_BUDGET, Certificate, gap, solve, verify_certificate
 
 ENUMERATION_MAX_N = 5
@@ -321,19 +321,3 @@ def gap_scan(
     )
     return GapScanResult(tuple(records), summary)
 
-
-def counterexample_family(k: int, variant: GameVariant) -> Digraph:
-    """Published family of digraphs with monotonicity gap at least k.
-
-    The gadget construction behind the published unbounded-gap results
-    has not been transcribed into code, so this is a contract-only stub:
-    it validates its arguments and raises rather than fabricate an
-    instance it cannot guarantee.
-    """
-    if k < 1:
-        raise ValueError(f"family parameter k must be >= 1, got {k}")
-    raise ConstructionUnavailableError(
-        f"the gap-{k} counterexample construction for the {variant.name} game "
-        "has not been transcribed; use gap_scan to search for non-monotone "
-        "instances instead"
-    )

@@ -30,7 +30,7 @@ from .arena import (
 )
 from .bits import iter_bits, mask_from, mask_to_tuple, subsets_upto
 from .digraph import Digraph, fingerprint, reach_mask
-from .engine import get_backend
+from .engine import pykernels
 from .errors import CertificateError, StateBudgetExceededError, UnsupportedVariantError
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -186,12 +186,10 @@ def solve(
     variant: GameVariant,
     monotone: bool = False,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    engine: Optional[str] = None,
 ) -> Outcome:
     """Decide the winner with k cops; certificate attached to cop wins."""
     if not 0 <= k <= d.n:
         raise ValueError(f"cop budget {k} outside 0..{d.n}")
-    backend = get_backend(engine)
     # refuse obviously hopeless instances before any work
     move_count = sum(math.comb(d.n, i) for i in range(k + 1))
     if variant.visibility is Visibility.VISIBLE:
@@ -203,7 +201,7 @@ def solve(
     if variant.visibility is Visibility.VISIBLE:
         strong = variant.confinement is Confinement.STRONG_COMPONENT
         moves = subsets_upto(d.n, k)
-        cops_win, strategy, transitions = backend.solve_visible(
+        cops_win, strategy, transitions = pykernels.solve_visible(
             d.succ_masks, d.pred_masks, d.n, moves, monotone, strong, state_budget
         )
         if not cops_win:
@@ -211,7 +209,7 @@ def solve(
         cert = _positional_certificate(d, k, variant, monotone, strategy, strong)
         return Outcome(Winner.COPS, cert, transitions)
     lazy = variant.agility is Agility.LAZY
-    cops_win, seq, transitions = backend.solve_invisible(
+    cops_win, seq, transitions = pykernels.solve_invisible(
         d.succ_masks, d.n, k, lazy, monotone, state_budget
     )
     if not cops_win:
@@ -232,12 +230,11 @@ def cop_number(
     variant: GameVariant,
     monotone: bool = False,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    engine: Optional[str] = None,
     min_k: int = 0,
 ) -> CopNumberResult:
     """Smallest k whose solve reports a cop win (n cops always suffice)."""
     for k in range(min_k, d.n + 1):
-        outcome = solve(d, k, variant, monotone, state_budget, engine)
+        outcome = solve(d, k, variant, monotone, state_budget)
         if outcome.cops_win:
             return CopNumberResult(k, outcome)
     raise AssertionError("unreachable: n cops always win")
@@ -247,12 +244,11 @@ def gap(
     d: Digraph,
     variant: GameVariant,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    engine: Optional[str] = None,
 ) -> GapResult:
     """Plain vs monotone cop number; gap >= 0 and ratio >= 1 by construction."""
-    plain = cop_number(d, variant, False, state_budget, engine)
+    plain = cop_number(d, variant, False, state_budget)
     # a monotone win is a fortiori a plain win, so the sweep may start at plain k
-    mono = cop_number(d, variant, True, state_budget, engine, min_k=plain.value)
+    mono = cop_number(d, variant, True, state_budget, min_k=plain.value)
     g = mono.value - plain.value
     ratio = mono.value / plain.value if plain.value else 1.0
     return GapResult(plain.value, mono.value, g, ratio, plain, mono)

@@ -37,8 +37,8 @@ class WidthReport:
         )
 
 
-def _game_width(d, measure, variant, offset, state_budget, engine):
-    res = cop_number(d, variant, monotone=True, state_budget=state_budget, engine=engine)
+def _game_width(d, measure, variant, offset, state_budget):
+    res = cop_number(d, variant, monotone=True, state_budget=state_budget)
     return WidthReport(
         measure=measure,
         value=res.value + offset,
@@ -50,16 +50,12 @@ def _game_width(d, measure, variant, offset, state_budget, engine):
     )
 
 
-def dag_width(
-    d: Digraph, state_budget: int = DEFAULT_STATE_BUDGET, engine: Optional[str] = None
-) -> WidthReport:
+def dag_width(d: Digraph, state_budget: int = DEFAULT_STATE_BUDGET) -> WidthReport:
     """Monotone visible fast-robber cop number (offset 0)."""
-    return _game_width(d, "dag-width", VISIBLE_FAST, 0, state_budget, engine)
+    return _game_width(d, "dag-width", VISIBLE_FAST, 0, state_budget)
 
 
-def kelly_width(
-    d: Digraph, state_budget: int = DEFAULT_STATE_BUDGET, engine: Optional[str] = None
-) -> WidthReport:
+def kelly_width(d: Digraph, state_budget: int = DEFAULT_STATE_BUDGET) -> WidthReport:
     """Monotone invisible lazy-robber cop number (offset 0).
 
     This cop number is the minimum elimination width plus one, that is
@@ -68,12 +64,10 @@ def kelly_width(
     vertices v reaches through the contamination, and its clearing
     order read backwards is an elimination ordering of width max |B|.
     """
-    return _game_width(d, "kelly-width", INVISIBLE_LAZY, 0, state_budget, engine)
+    return _game_width(d, "kelly-width", INVISIBLE_LAZY, 0, state_budget)
 
 
-def directed_path_width(
-    d: Digraph, state_budget: int = DEFAULT_STATE_BUDGET, engine: Optional[str] = None
-) -> WidthReport:
+def directed_path_width(d: Digraph, state_budget: int = DEFAULT_STATE_BUDGET) -> WidthReport:
     """Monotone invisible fast-robber cop number minus one.
 
     That is the directed vertex separation number (Barát 2006): the
@@ -81,7 +75,7 @@ def directed_path_width(
     it needs are one more than the largest |{w in W : w has a
     predecessor outside W}| over the order's prefixes W.
     """
-    return _game_width(d, "directed-path-width", INVISIBLE_FAST, -1, state_budget, engine)
+    return _game_width(d, "directed-path-width", INVISIBLE_FAST, -1, state_budget)
 
 
 def width_by_name(name: str):

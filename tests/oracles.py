@@ -309,14 +309,6 @@ def naive_solve_visible(succ, pred, n, moves, monotone, strong, budget):
     return True, strategy, transitions
 
 
-def _met_row(cache, met, adj, n, guard):
-    count = met.get(guard, 0) + 1
-    if count < n:
-        met[guard] = count
-        return None
-    return _rows(cache, adj, n, guard)
-
-
 def naive_solve_invisible(succ, n, moves, lazy, monotone, budget):
     """Breadth-first search over contamination states (C, R) from (0, V),
     trying every cop set of ``moves`` from every state.
@@ -342,7 +334,6 @@ def naive_solve_invisible(succ, n, moves, lazy, monotone, budget):
     parent_move = [-1]
     transitions = 0
     rows = {}
-    met = {}
     head = 0
     while head < len(state_ci):
         ci = state_ci[head]
@@ -362,17 +353,11 @@ def naive_solve_invisible(succ, n, moves, lazy, monotone, budget):
             rp = rmask
             f = rmask & cj if lazy else rmask
             if f:
-                guard = cmask & cj
-                row = rows.get(guard)
-                if row is None:
-                    row = _met_row(rows, met, succ, n, guard)
-                if row is None:
-                    rp |= _reach_mask(succ, f, guard)
-                else:
-                    while f:
-                        low = f & -f
-                        rp |= row[low.bit_length() - 1]
-                        f ^= low
+                row = _rows(rows, succ, n, cmask & cj)
+                while f:
+                    low = f & -f
+                    rp |= row[low.bit_length() - 1]
+                    f ^= low
             rp &= ~cj
             if monotone and rp & ~rmask:
                 continue

@@ -5,12 +5,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 from pathlib import Path
 
-import pytest
-
 from copwin.arena import INVISIBLE_LAZY, VISIBLE_FAST
 from copwin.cli import main as cli_main
 from copwin.digraph import Digraph, bidirect, parse_edge_list
-from copwin.errors import ConstructionUnavailableError
 from copwin.hardproblems import (
     feedback_arc_number_by_orderings,
     hamiltonian_cycle,
@@ -23,7 +20,6 @@ from copwin.hardproblems import (
     validate_mes_witness,
 )
 from copwin.lab import (
-    counterexample_family,
     enumerate_connected_graphs,
     enumerate_digraphs,
     gap_scan,
@@ -205,18 +201,12 @@ def test_criterion_5_gap_machinery():
         assert verify_certificate(d, rec.certificate_plain)
         verified_fixtures += 1
 
-    # the published family construction is not transcribed; the
-    # operation must say so rather than fabricate instances
-    with pytest.raises(ConstructionUnavailableError):
-        counterexample_family(1, VISIBLE_FAST)
-
     detail = "all 64 n=3 digraphs gap-free in both variants"
     if verified_fixtures:
         detail += f"; {verified_fixtures} stored gap fixtures fully verified"
     else:
-        detail += ("; no desk-scale gap instance known (family construction "
-                   "unavailable; offline exhaustive n<=5 and structured scans "
-                   "to n=8 found none)")
+        detail += ("; no desk-scale gap instance known (offline exhaustive n<=5 "
+                   "and structured scans to n=8 found none)")
     _report(5, detail)
 
 

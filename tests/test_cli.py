@@ -329,21 +329,18 @@ def test_gapscan_memory_does_not_grow_with_rows(tmp_path, fmt):
     assert large - small < 256 * 1024, (small, large)
 
 
-def test_family_unavailable(capsys):
-    code, _, err = run_cli(capsys, "family", "--k", "1", "--variant", "visible")
-    assert code == 1
-    assert "not been transcribed" in err
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
 
-def test_usage_error_exit_1(capsys):
+def test_usage_error_exit_1(capsys, c3_file):
     code, _, err = run_cli(capsys, "gapscan", "--variant", "visible")
     assert code == 1
     code, _, _ = run_cli(capsys)
     assert code == 1
+    code, out, _ = run_cli(capsys, "solve", "--engine", "py", "--cops", "1", c3_file)
+    assert code == 1
+    assert out == ""
 
 
 def test_parse_error_exit_2(capsys, tmp_path):
@@ -354,6 +351,11 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "self-loop" in err
     code, _, _ = run_cli(capsys, "copnum", str(tmp_path / "missing.edges"))
     assert code == 2
+    binary = tmp_path / "binary.edges"
+    binary.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, "copnum", str(binary))
+    assert code == 2
+    assert "is not UTF-8 text" in err
 
 
 def test_budget_exceeded_exit_3(capsys, c3_file):

@@ -8,7 +8,7 @@ import pytest
 
 from copwin.bits import mask_to_tuple, subsets_upto
 from copwin.digraph import Digraph, fingerprint
-from copwin.engine import get_backend, pykernels
+from copwin.engine import pykernels
 from copwin.errors import StateBudgetExceededError
 from copwin.solver import Certificate, verify_certificate
 from oracles import enumerate_arc_lists, naive_solve_invisible, naive_solve_visible
@@ -207,22 +207,3 @@ def test_invisible_moves_match_subset_oracle_random():
         p = rng.choice([0.2, 0.3, 0.45])
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
         _check_invisible(n, arcs, (rng.randint(1, 3),))
-
-
-def test_backend_selection():
-    assert get_backend("py") is pykernels
-    assert get_backend(None) is pykernels
-    with pytest.raises(ValueError):
-        get_backend("fortran")
-    with pytest.raises(ValueError):
-        get_backend("c")
-
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("COPWIN_ENGINE", "py")
-    from copwin.engine import default_backend_name
-
-    assert default_backend_name() == "py"
-    monkeypatch.setenv("COPWIN_ENGINE", "bogus")
-    with pytest.raises(ValueError):
-        default_backend_name()

@@ -4,14 +4,13 @@ import pytest
 
 from copwin.arena import INVISIBLE_LAZY, VISIBLE_FAST
 from copwin.digraph import Digraph, fingerprint
-from copwin.errors import ConstructionUnavailableError, SizeLimitError
+from copwin.errors import SizeLimitError
 from copwin import lab
 from copwin.lab import (
     GAP_FIELDS,
     GapRecord,
     GapScanSummary,
     canonical_graph_key,
-    counterexample_family,
     enumerate_connected_graphs,
     enumerate_digraphs,
     gap_scan,
@@ -212,19 +211,3 @@ def test_gap_record_invariants_on_scan():
 def test_csv_headers_match_contract():
     text = rows_to_csv(GAP_FIELDS, [])
     assert text == "graph_id,n,m,variant,copnum,mon_copnum,gap,ratio,runtime_ms,status\n"
-
-
-# ---------------------------------------------------------------------------
-# counterexample family stub
-# ---------------------------------------------------------------------------
-
-def test_family_rejects_bad_k():
-    with pytest.raises(ValueError):
-        counterexample_family(0, VISIBLE_FAST)
-
-
-def test_family_construction_unavailable():
-    with pytest.raises(ConstructionUnavailableError):
-        counterexample_family(1, VISIBLE_FAST)
-    with pytest.raises(ConstructionUnavailableError):
-        counterexample_family(3, INVISIBLE_LAZY)

@@ -14,7 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from .digraph import Digraph, closure_masks, induced_subgraph, is_acyclic, reach_mask
+from .bits import iter_bits
+from .digraph import Digraph, closure_masks, induced_subgraph, is_acyclic, reach_mask, scc
 from .errors import SizeLimitError, StateBudgetExceededError
 from .solver import DEFAULT_STATE_BUDGET
 from .width import dag_width, kelly_width
@@ -56,43 +57,82 @@ def _acyclic_masks(succ, pred, active):
 # ---------------------------------------------------------------------------
 
 def hamiltonian_cycle(d: Digraph) -> ProblemSolution:
-    """Subset DP over (visited set, endpoint), anchored at vertex 0.
+    """Held-Karp subset DP over (visited set, endpoint), anchored at vertex 0.
+
+    ``ends[s]``, for a vertex set s holding 0, is the set of v in s with
+    a path from 0 through exactly the vertices of s that ends at v; v
+    ends s iff one of its predecessors ends s - v.  The table is kept
+    bit-sliced: one 2^(n-1)-bit integer per vertex, whose bit t says
+    whether v ends the set 2t + 1 (vertex w >= 1 is bit w - 1 of t), so
+    n * 2^(n-1) bits in all.  A round recomputes every vertex's integer
+    from its predecessors' with big-integer ORs, one AND that keeps the
+    sets without v, and a shift that adds v.  After round r every set of
+    at most r + 1 vertices is final, so n - 1 rounds fill the table; a
+    round that changes nothing has reached it early.
 
     Witness is the cycle as a vertex sequence starting at 0 (the closing
-    arc back to 0 is implicit), or None: the search is exhaustive either
-    way.  n is capped at 18 (2^n * n states).
+    arc back to 0 is implicit), read backwards from the table taking the
+    smallest predecessor each time, or None: the search is exhaustive
+    either way.  A digraph that is not strongly connected has no
+    Hamiltonian cycle and is answered without the table.  n is capped
+    at 18.
     """
     n = d.n
     if n > HAMILTONIAN_MAX_N:
         raise SizeLimitError(f"hamiltonian_cycle handles n <= {HAMILTONIAN_MAX_N}, got {n}")
-    if n < 2:
-        return ProblemSolution("hamiltonian_cycle", None, 0)
+    pred = d.pred_masks
     full = d.full_mask
-    size = 1 << n
-    # ends[s]: the v in s with a path from 0 through exactly s ending at v
-    # (s odd).  Pull form: v is an end iff one of its predecessors ends s - v.
-    ends = [0] * size
-    ends[1] = 1
-    steps = [(1 << v, d.pred_masks[v]) for v in range(1, n)]
-    for s in range(3, size, 2):
-        e = 0
-        for bit, pred in steps:
-            if s & bit and ends[s ^ bit] & pred:
-                e |= bit
-        ends[s] = e
-    finishers = ends[full] & d.pred_masks[0] & ~1
-    if not finishers:
+    if n < 2 or reach_mask(d.succ_masks, 1, 0) != full or reach_mask(pred, 1, 0) != full:
         return ProblemSolution("hamiltonian_cycle", None, 0)
-    # walk the DP backwards, smallest vertex first, for a deterministic witness
-    path = [(finishers & -finishers).bit_length() - 1]
-    s = full
+    ends = _path_ends(n, pred)
+
+    def first_end(t, candidates):
+        """The smallest vertex of ``candidates`` that ends the set 2t + 1."""
+        for u in iter_bits(candidates):
+            if ends[u] >> t & 1:
+                return u
+        return None
+
+    t = (1 << (n - 1)) - 1
+    v = first_end(t, pred[0] & ~1)
+    if v is None:
+        return ProblemSolution("hamiltonian_cycle", None, 0)
+    path = [v]
     while len(path) < n:
-        v = path[-1]
-        prevs = ends[s ^ (1 << v)] & d.pred_masks[v]
-        path.append((prevs & -prevs).bit_length() - 1)
-        s ^= 1 << v
+        t ^= 1 << (v - 1)
+        v = first_end(t, pred[v])
+        path.append(v)
     path.reverse()
     return ProblemSolution("hamiltonian_cycle", tuple(path), n)
+
+
+def _path_ends(n, pred):
+    """The bit-sliced ``ends`` table of ``hamiltonian_cycle``, one integer per vertex."""
+    width = 1 << (n - 1)
+    ends = [1] + [0] * (n - 1)  # 0 ends only the set {0}
+    rules = []
+    for v in range(1, n):
+        bit = 1 << (v - 1)
+        # the sets t without v: bit v - 1 clear, the low half of each 2*bit block
+        without = (1 << bit) - 1
+        span = 2 * bit
+        while span < width:
+            without |= without << span
+            span *= 2
+        rules.append((v, bit, without, tuple(iter_bits(pred[v]))))
+    for _ in range(n - 1):
+        changed = False
+        for v, bit, without, preds in rules:
+            ended = 0  # the sets some predecessor of v ends
+            for u in preds:
+                ended |= ends[u]
+            grown = (ended & without) << bit
+            if grown != ends[v]:
+                ends[v] = grown
+                changed = True
+        if not changed:
+            break
+    return ends
 
 
 def hamiltonian_cycle_bruteforce(d: Digraph) -> bool:
@@ -111,8 +151,13 @@ def hamiltonian_cycle_bruteforce(d: Digraph) -> bool:
     return False
 
 
+def _is_vertex_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_hamiltonian_witness(d: Digraph, witness) -> bool:
-    if witness is None:
+    """Whether ``witness``, a list or tuple of vertex ids, is a Hamiltonian cycle of D."""
+    if not isinstance(witness, (list, tuple)) or not all(map(_is_vertex_id, witness)):
         return False
     if sorted(witness) != list(range(d.n)) or d.n < 2:
         return False
@@ -299,7 +344,10 @@ def min_equivalent_subgraph(d: Digraph) -> ProblemSolution:
     Arcs whose single deletion already changes the closure are in every
     equivalent subgraph (closure is monotone in the arc set), so the
     subset search runs over the remaining optional arcs only, by
-    increasing kept-count.
+    increasing kept-count.  It starts at the count that tops the
+    mandatory arcs up to ``mes_lower_bound(d)``: no smaller subgraph is
+    equivalent, so the witness is still the first equivalent one in
+    ``itertools.combinations`` order of the smallest size.
     """
     if d.n > MES_MAX_N:
         raise SizeLimitError(f"min_equivalent_subgraph handles n <= {MES_MAX_N}, got {d.n}")
@@ -315,7 +363,7 @@ def min_equivalent_subgraph(d: Digraph) -> ProblemSolution:
     base = [0] * d.n
     for u, v in mandatory:
         base[u] |= 1 << v
-    for keep_count in range(len(optional) + 1):
+    for keep_count in range(max(0, mes_lower_bound(d) - len(mandatory)), len(optional) + 1):
         for kept in itertools.combinations(optional, keep_count):
             succ = list(base)
             for u, v in kept:
@@ -324,6 +372,29 @@ def min_equivalent_subgraph(d: Digraph) -> ProblemSolution:
                 witness = tuple(sorted(mandatory + list(kept)))
                 return ProblemSolution("minimum_equivalent_subgraph", witness, len(witness))
     raise AssertionError("unreachable: keeping every optional arc restores D")
+
+
+def mes_lower_bound(d: Digraph) -> int:
+    """A lower bound on the minimum equivalent subgraph's arc count.
+
+    An equivalent subgraph H has D's closure, so D's strong components.
+    A path between two vertices of one component stays inside it, so H
+    keeps each component of s >= 2 vertices strongly connected, which
+    takes at least s arcs, one into each vertex.  For an arc A -> B of
+    the transitive reduction of the condensation, a path from A to B in
+    H can pass through no third component (it would be an alternative
+    route), so H has an arc from A to B; these arcs join distinct
+    component pairs and lie outside every component.
+    """
+    comps = scc(d)
+    comp_of = [0] * d.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    cross = {(comp_of[u], comp_of[v]) for u, v in d.arcs if comp_of[u] != comp_of[v]}
+    condensation = Digraph(len(comps), cross)
+    inside = sum(len(comp) for comp in comps if len(comp) > 1)
+    return inside + len(transitive_reduction_dag(condensation))
 
 
 def _closure_equals(succ, target):
@@ -361,9 +432,18 @@ def transitive_reduction_dag(d: Digraph) -> Tuple[Tuple[int, int], ...]:
 
 
 def validate_mes_witness(d: Digraph, solution: ProblemSolution) -> bool:
-    if not set(solution.witness) <= d.arc_set:
+    """Whether the witness, distinct arcs of D as (u, v) or [u, v] pairs, keeps D's closure."""
+    witness = solution.witness
+    if not isinstance(witness, (list, tuple)):
         return False
-    return closure_masks(Digraph(d.n, solution.witness)) == closure_masks(d)
+    arcs = set()
+    for arc in witness:
+        if not isinstance(arc, (list, tuple)) or len(arc) != 2 or not all(map(_is_vertex_id, arc)):
+            return False
+        arcs.add(tuple(arc))
+    if len(arcs) != len(witness) or not arcs <= d.arc_set:
+        return False
+    return closure_masks(Digraph(d.n, arcs)) == closure_masks(d)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive and shares no code with the
 package internals: plain frozensets, itertools enumeration, fixpoint
-iteration from below.  Only usable at tiny sizes.  The two exceptions
-are the former kernels on bit masks, kept with their own reachability
+iteration from below.  Only usable at tiny sizes.  The exceptions are
+former package code on bit masks, kept with their own reachability
 helpers: ``naive_solve_visible``, the vertex-level visible attractor,
-the reference for the kernel's strong-component quotient; and
+the reference for the kernel's strong-component quotient;
 ``naive_solve_invisible``, the contamination search over every cop set,
-the reference for the kernel's one-vertex moves and eliminations.
+the reference for the kernel's one-vertex moves and eliminations;
+``subset_dp_hamiltonian``, the one-int-per-set Hamiltonian DP, the
+reference for the bit-sliced table; and ``naive_min_equivalent_subgraph``,
+the equivalent-subgraph search from size 0, the reference for the
+lower-bounded start.
 """
 import itertools
 
@@ -159,6 +163,71 @@ def naive_min_feedback_arc_set(n, arcs):
             if _arcs_acyclic(n, rest):
                 return size, tuple(arcs[i] for i in combo)
     raise AssertionError("unreachable: deleting all arcs is acyclic")
+
+
+def subset_dp_hamiltonian(n, arcs):
+    """The pull-form Held-Karp DP, one Python int per vertex set.
+
+    ``ends[s]`` (s odd, so holding vertex 0) is the set of v with a path
+    from 0 through exactly s that ends at v.  Returns the witness
+    ``hamiltonian_cycle`` must report: the cycle from 0, read backwards
+    from the table taking the smallest predecessor each time, or None.
+    """
+    if n < 2:
+        return None
+    pred = [0] * n
+    for u, v in arcs:
+        pred[v] |= 1 << u
+    full = (1 << n) - 1
+    ends = [0] * (1 << n)
+    ends[1] = 1
+    steps = [(1 << v, pred[v]) for v in range(1, n)]
+    for s in range(3, 1 << n, 2):
+        e = 0
+        for bit, p in steps:
+            if s & bit and ends[s ^ bit] & p:
+                e |= bit
+        ends[s] = e
+    finishers = ends[full] & pred[0] & ~1
+    if not finishers:
+        return None
+    path = [(finishers & -finishers).bit_length() - 1]
+    s = full
+    while len(path) < n:
+        v = path[-1]
+        prevs = ends[s ^ (1 << v)] & pred[v]
+        path.append((prevs & -prevs).bit_length() - 1)
+        s ^= 1 << v
+    path.reverse()
+    return tuple(path)
+
+
+def naive_min_equivalent_subgraph(n, arcs):
+    """First equivalent arc set of the smallest size, searched from size 0.
+
+    Arcs whose single deletion changes the closure are kept; subsets of
+    the other arcs (sorted lexicographically) are tried in
+    itertools.combinations order, smallest first.  Returns
+    (size, witness tuple), the answer ``min_equivalent_subgraph`` must
+    report whatever size its search starts at.
+    """
+    arcs = sorted(arcs)
+
+    def closure(kept):
+        succ = [0] * n
+        for u, v in kept:
+            succ[u] |= 1 << v
+        return [_reach_mask(succ, 1 << u, 0) for u in range(n)]
+
+    target = closure(arcs)
+    mandatory = [a for a in arcs if closure([b for b in arcs if b != a]) != target]
+    optional = [a for a in arcs if a not in mandatory]
+    for size in range(len(optional) + 1):
+        for kept in itertools.combinations(optional, size):
+            if closure(mandatory + list(kept)) == target:
+                witness = tuple(sorted(mandatory + list(kept)))
+                return len(witness), witness
+    raise AssertionError("unreachable: keeping every arc keeps the closure")
 
 
 def _reach_mask(succ, src, forbidden):

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copwin.digraph import Digraph, bidirect, is_acyclic
+from copwin.digraph import Digraph, bidirect, is_acyclic, scc
 from copwin.errors import SizeLimitError
 from copwin.hardproblems import (
+    HAMILTONIAN_MAX_N,
     REPORT_FIELDS,
+    ProblemSolution,
     feedback_arc_number_by_orderings,
     hamiltonian_cycle,
     hamiltonian_cycle_bruteforce,
+    mes_lower_bound,
     min_equivalent_subgraph,
     min_feedback_arc_set,
     min_feedback_vertex_set,
@@ -23,7 +26,11 @@ from copwin.hardproblems import (
 )
 from copwin.lab import enumerate_digraphs, random_digraph
 from copwin.reports import rows_to_csv
-from oracles import naive_min_feedback_arc_set
+from oracles import (
+    naive_min_equivalent_subgraph,
+    naive_min_feedback_arc_set,
+    subset_dp_hamiltonian,
+)
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 C5 = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -84,6 +91,36 @@ def test_hamiltonian_matches_bruteforce():
         assert (dp.witness is not None) == hamiltonian_cycle_bruteforce(d)
         if dp.witness is not None:
             assert validate_hamiltonian_witness(d, dp.witness)
+
+
+def test_hamiltonian_matches_subset_dp_oracle():
+    rng = random.Random(9)
+    for trial in range(48):
+        n = rng.randint(9, 16)
+        d = random_digraph(n, (0.15, 0.3, 0.5)[trial % 3], 600 + trial)
+        sol = hamiltonian_cycle(d)
+        assert sol.witness == subset_dp_hamiltonian(d.n, d.arcs), (n, trial)
+        assert sol.value == (n if sol.witness else 0)
+
+
+@pytest.mark.parametrize("seed, hamiltonian", [(27, True), (26, False)])
+def test_hamiltonian_at_size_cap_matches_subset_dp_oracle(seed, hamiltonian):
+    # both strongly connected, so the table is built and walked in full
+    d = random_digraph(HAMILTONIAN_MAX_N, 0.18, seed)
+    assert len(scc(d)) == 1
+    sol = hamiltonian_cycle(d)
+    assert sol.witness == subset_dp_hamiltonian(d.n, d.arcs)
+    assert (sol.witness is not None) == hamiltonian
+    if hamiltonian:
+        assert validate_hamiltonian_witness(d, sol.witness)
+
+
+def test_hamiltonian_validator_rejects_malformed_witnesses():
+    assert validate_hamiltonian_witness(C3, [0, 1, 2])
+    assert validate_hamiltonian_witness(C3, (0, 1, 2))
+    for witness in ([0, "1"], [0, "1", 2], [0, True, 2], [0, 1.0, 2], [0, [1], 2],
+                    None, 3, "012", {0, 1, 2}):
+        assert not validate_hamiltonian_witness(C3, witness), witness
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +243,48 @@ def test_mes_witness_validates():
         d = random_digraph(rng.randint(1, 5), 0.4, 300 + trial)
         sol = min_equivalent_subgraph(d)
         assert validate_mes_witness(d, sol)
+
+
+def test_mes_lower_bound_and_witness_match_from_zero_search():
+    graphs = [d for n in range(5) for d in enumerate_digraphs(n)]
+    rng = random.Random(7)
+    for trial in range(100):
+        n = rng.randint(5, 8)
+        graphs.append(random_digraph(n, rng.choice((0.2, 0.3, 0.45)), 4000 + trial))
+    for d in graphs:
+        sol = min_equivalent_subgraph(d)
+        assert mes_lower_bound(d) <= sol.value
+        assert (sol.value, sol.witness) == naive_min_equivalent_subgraph(d.n, d.arcs), d.arcs
+
+
+def test_mes_lower_bound_examples():
+    assert mes_lower_bound(Digraph(0)) == 0
+    assert mes_lower_bound(C3) == 3
+    # the shortcut 0 -> 2 is no arc of the condensation's reduction
+    assert mes_lower_bound(TOURNAMENT) == 2
+    # two 2-cycles joined by two parallel arcs: 2 + 2 inside, 1 between
+    d = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3)])
+    assert mes_lower_bound(d) == min_equivalent_subgraph(d).value == 5
+
+
+def test_mes_bidirected_k6():
+    k6 = bidirect(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    sol = min_equivalent_subgraph(k6)
+    assert sol.value == 6 == mes_lower_bound(k6)
+    assert validate_mes_witness(k6, sol)
+
+
+def test_mes_validator_accepts_json_pairs_and_rejects_malformed_witnesses():
+    def check(witness):
+        return validate_mes_witness(C3, ProblemSolution("minimum_equivalent_subgraph", witness, 3))
+
+    assert check(((0, 1), (1, 2), (2, 0)))
+    assert check([[0, 1], [1, 2], [2, 0]])  # the shape `hard mes --json` writes
+    assert not check([[0, 1], [1, 2]])
+    for witness in ([[0, 1], [1, 2], [2, 0], [0, 1]], [[0, "1"], [1, 2], [2, 0]],
+                    [[False, 1], [1, 2], [2, 0]], [[0, 1, 2], [2, 0]], [[0, [1]]],
+                    ["01", "12", "20"], None, 3):
+        assert not check(witness), witness
 
 
 def test_mes_size_limit():

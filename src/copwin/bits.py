@@ -4,6 +4,7 @@ Vertex sets are plain ``int`` masks internally (bit v set = vertex v in
 the set) so game states hash and compare in a couple of machine words.
 Public APIs convert to/from ``frozenset``.
 """
+import itertools
 from typing import Iterable, Iterator
 
 
@@ -50,3 +51,9 @@ def subsets_upto(n: int, k: int) -> list:
 
     rec(0, 0, 0)
     return out
+
+
+def subsets_of_size(n: int, k: int) -> list:
+    """All subsets of {0..n-1} with exactly k elements, as masks, in the
+    order ``subsets_upto`` lists them (lexicographic in the ascending tuples)."""
+    return [mask_from(c) for c in itertools.combinations(range(n), k)]

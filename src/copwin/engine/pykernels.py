@@ -8,16 +8,16 @@ kernels in ``tests/oracles.py`` (``naive_solve_visible``,
 ``naive_solve_invisible``) are the references they are tested against.
 
 Kernel inputs are already lowered: successor/predecessor masks, a
-canonically ordered cop-move list (visible) or the cop count k
-(invisible), plain ints everywhere.
+canonically ordered cop-move list that starts with the empty set
+(visible) or the cop count k (invisible), plain ints everywhere.
 
 Memoised robber runs.  Between two cop sets C and C' the robber runs
 in D - (C & C'), and the guard C & C' is itself a set of at most k
-vertices, hence one of the m cop moves.  So a solve needs reachability
-avoiding at most m distinct guards.  The visible kernel keeps, per
+vertices.  So a solve needs reachability avoiding at most g distinct
+guards, g the number of such sets.  The visible kernel keeps, per
 guard, the row ``reach_mask(adj, 1 << v, guard)`` for every vertex v
 (0 for v in the guard), built when it first expands a cop set with that
-guard: all rows together cost at most m*n BFS calls and m*n ints per
+guard: all rows together cost at most g*n BFS calls and g*n ints per
 solve, instead of one BFS per transition, and any reachable set is the
 OR of the rows of its sources.  In the plain invisible search every
 robber run starts at a single vertex v (see the one-vertex moves
@@ -41,6 +41,42 @@ to its members gives the strategy map the vertex-level attractor gives.
 move tried from a class, plus 1 per robber-response class the move
 links.  That is never more than the vertex-level count, and equal to
 it when every class is a single vertex (D acyclic, say).
+
+Full-size moves in plain visible play.  ``solver.solve`` hands a plain
+visible solve with 1 <= k <= n cops the empty start and the cop sets of
+exactly k vertices, in the canonical order, not every set of at most k.
+This is exact.  Write opts(C, C', r) for the robber's landing spots at r
+while the cops move C -> C'.
+
+1. More cops never leave more options.  If C is a subset of D and C' a
+   subset of C'', then opts(D, C'', r) is a subset of opts(C, C', r):
+   the guard D & C'' contains C & C', so the forward reach avoiding it
+   shrinks, and under strong confinement so does the backward reach;
+   and the robber must land outside the larger set C''.
+2. By induction on t: if the cops win from (C, r) within t rounds with
+   every move, they win within t rounds with full-size moves from every
+   position (D, r) of the reduced arena with D a superset of C (D empty
+   or of k vertices, r not in D).  Let C' be the winning move at
+   (C, r); some k-set contains it, since |C'| <= k <= n.
+   * If a k-set C'' that contains C' is not D, play it.  By 1 every
+     answer r2 is an answer to C', so (C', r2) is won within t - 1
+     rounds, and by induction so is (C'', r2).  At t = 1 there is no
+     answer.
+   * Otherwise D is the only such k-set, so C' is a subset of D and r,
+     not in D, is not in C'.  Then r is one of the robber's answers to
+     C' (it is not in C and reaches itself), so (C', r) was already won
+     within t - 1 rounds, and by induction so is (D, r).
+   With C = D = {} this covers every start position.
+3. Conversely the reduced arena is a sub-arena: the cops have fewer
+   moves and the robber the same answers, so each of its wins is a win.
+
+So the verdict is unchanged; the strategy, the certificate built from
+it (the empty set, then k-sets only) and ``transitions`` are those of
+the reduced arena.  Monotone solves keep every set of at most k.  With
+more cops on the board the territory that the next move must stay
+inside is smaller, so step 2 does not carry over: a full-size move may
+be vetoed where the smaller one is not.  The two move lists agree on
+every digraph with n <= 4, but that is a check, not a proof.
 
 One-vertex moves in the plain invisible games.  In plain mode the
 contamination search tries, from a state (C, R), only the cop sets one

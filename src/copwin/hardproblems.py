@@ -155,6 +155,19 @@ def _is_vertex_id(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _distinct_arcs(witness):
+    """The witness as a set of (u, v) tuples, or None unless it is a list or
+    tuple of distinct (u, v) or [u, v] pairs of vertex ids."""
+    if not isinstance(witness, (list, tuple)):
+        return None
+    arcs = set()
+    for arc in witness:
+        if not isinstance(arc, (list, tuple)) or len(arc) != 2 or not all(map(_is_vertex_id, arc)):
+            return None
+        arcs.add(tuple(arc))
+    return arcs if len(arcs) == len(witness) else None
+
+
 def validate_hamiltonian_witness(d: Digraph, witness) -> bool:
     """Whether ``witness``, a list or tuple of vertex ids, is a Hamiltonian cycle of D."""
     if not isinstance(witness, (list, tuple)) or not all(map(_is_vertex_id, witness)):
@@ -320,18 +333,25 @@ def feedback_arc_number_by_orderings(d: Digraph) -> int:
 
 
 def validate_feedback_witness(d: Digraph, solution: ProblemSolution) -> bool:
+    """Whether the witness, distinct vertex ids of D (feedback vertex set) or
+    distinct arcs of D as (u, v) or [u, v] pairs (feedback arc set), leaves D acyclic."""
+    if solution.problem not in ("feedback_vertex_set", "feedback_arc_set"):
+        raise ValueError(f"not a feedback solution: {solution.problem}")
+    witness = solution.witness
+    if not isinstance(witness, (list, tuple)):
+        return False
     if solution.problem == "feedback_vertex_set":
-        dropped = set(solution.witness)
-        if not dropped <= set(range(d.n)):
+        if not all(map(_is_vertex_id, witness)):
+            return False
+        dropped = set(witness)
+        if len(dropped) != len(witness) or not dropped <= set(range(d.n)):
             return False
         sub, _ = induced_subgraph(d, [v for v in range(d.n) if v not in dropped])
         return is_acyclic(sub)
-    if solution.problem == "feedback_arc_set":
-        dropped = set(solution.witness)
-        if not dropped <= d.arc_set:
-            return False
-        return is_acyclic(Digraph(d.n, [a for a in d.arcs if a not in dropped]))
-    raise ValueError(f"not a feedback solution: {solution.problem}")
+    dropped = _distinct_arcs(witness)
+    if dropped is None or not dropped <= d.arc_set:
+        return False
+    return is_acyclic(Digraph(d.n, [a for a in d.arcs if a not in dropped]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +453,8 @@ def transitive_reduction_dag(d: Digraph) -> Tuple[Tuple[int, int], ...]:
 
 def validate_mes_witness(d: Digraph, solution: ProblemSolution) -> bool:
     """Whether the witness, distinct arcs of D as (u, v) or [u, v] pairs, keeps D's closure."""
-    witness = solution.witness
-    if not isinstance(witness, (list, tuple)):
-        return False
-    arcs = set()
-    for arc in witness:
-        if not isinstance(arc, (list, tuple)) or len(arc) != 2 or not all(map(_is_vertex_id, arc)):
-            return False
-        arcs.add(tuple(arc))
-    if len(arcs) != len(witness) or not arcs <= d.arc_set:
+    arcs = _distinct_arcs(solution.witness)
+    if arcs is None or not arcs <= d.arc_set:
         return False
     return closure_masks(Digraph(d.n, arcs)) == closure_masks(d)
 

@@ -28,7 +28,7 @@ from .arena import (
     contaminate_mask,
     robber_options_mask,
 )
-from .bits import iter_bits, mask_from, mask_to_tuple, subsets_upto
+from .bits import iter_bits, mask_from, mask_to_tuple, subsets_of_size, subsets_upto
 from .digraph import Digraph, fingerprint, reach_mask
 from .engine import pykernels
 from .errors import CertificateError, StateBudgetExceededError, UnsupportedVariantError
@@ -200,7 +200,12 @@ def solve(
         raise StateBudgetExceededError(state_budget, 0, bound=arena_bound)
     if variant.visibility is Visibility.VISIBLE:
         strong = variant.confinement is Confinement.STRONG_COMPONENT
-        moves = subsets_upto(d.n, k)
+        if monotone or k == 0:
+            moves = subsets_upto(d.n, k)
+        else:
+            # plain play needs only the start and full-size cop sets
+            # (pykernels: "Full-size moves in plain visible play")
+            moves = [0] + subsets_of_size(d.n, k)
         cops_win, strategy, transitions = pykernels.solve_visible(
             d.succ_masks, d.pred_masks, d.n, moves, monotone, strong, state_budget
         )

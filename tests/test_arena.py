@@ -16,7 +16,7 @@ from copwin.arena import (
     contaminate_mask,
     robber_options_mask,
 )
-from copwin.bits import iter_bits, mask_from, subsets_upto
+from copwin.bits import iter_bits, mask_from, subsets_of_size, subsets_upto
 from copwin.digraph import Digraph, bidirect, delete_arcs, reach, reach_mask
 from copwin.errors import CertificateError, UnsupportedVariantError
 from copwin.lab import random_digraph
@@ -106,13 +106,15 @@ def test_cop_moves_budget_validated():
 
 
 def test_cop_moves_follows_canonical_solver_order():
-    # lexicographic order of the ascending vertex tuples, empty set first
+    # lexicographic order of the ascending vertex tuples, empty set first;
+    # the full-size sets of plain visible solves keep that order
     for n in range(6):
         for k in range(n + 1):
             tuples = sorted(
                 t for size in range(k + 1) for t in itertools.combinations(range(n), size)
             )
             assert subsets_upto(n, k) == [mask_from(t) for t in tuples]
+            assert subsets_of_size(n, k) == [mask_from(t) for t in tuples if len(t) == k]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""Solver kernels: golden digests of their outputs, and agreement with
-the former kernels kept in ``tests/oracles.py`` (winners, strategies,
-certificates, and how the transition counts that feed the budget compare)."""
+"""Solver kernels: golden digests of their outputs, agreement with the
+former kernels kept in ``tests/oracles.py`` (winners, strategies,
+certificates, and how the transition counts that feed the budget
+compare), and the full-size cop moves of plain visible solves."""
 import hashlib
 import random
 
 import pytest
 
+from copwin.arena import VISIBLE_FAST, VISIBLE_FAST_SCC
 from copwin.bits import mask_to_tuple, subsets_upto
 from copwin.digraph import Digraph, fingerprint
 from copwin.engine import pykernels
 from copwin.errors import StateBudgetExceededError
-from copwin.solver import Certificate, verify_certificate
+from copwin.solver import Certificate, solve, verify_certificate
 from oracles import enumerate_arc_lists, naive_solve_invisible, naive_solve_visible
 
 
@@ -207,3 +209,40 @@ def test_invisible_moves_match_subset_oracle_random():
         p = rng.choice([0.2, 0.3, 0.45])
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
         _check_invisible(n, arcs, (rng.randint(1, 3),))
+
+
+def _check_full_size_moves(n, arcs, ks):
+    """Plain visible ``solve`` against the kernel on every move of at most k
+    cops: the same verdict, and on a cop win a certificate that verifies
+    and names only the empty set and sets of exactly k vertices."""
+    d = Digraph(n, arcs)
+    for k in ks:
+        every_move = subsets_upto(n, k)
+        for variant in (VISIBLE_FAST, VISIBLE_FAST_SCC):
+            strong = variant is VISIBLE_FAST_SCC
+            where = (n, arcs, k, variant.name)
+            got = solve(d, k, variant)
+            want = pykernels.solve_visible(
+                d.succ_masks, d.pred_masks, n, every_move, False, strong, 10**8)
+            assert got.cops_win == want[0], where
+            if got.cops_win:
+                assert verify_certificate(d, got.certificate).valid, where
+                for cops, _, move in got.certificate.body:
+                    assert len(cops) in (0, k) and len(move) in (0, k), where
+
+
+def test_full_size_visible_moves_match_every_move_census():
+    # every labeled digraph with n <= 4, every cop count; the every-move
+    # kernel is itself pinned to naive_solve_visible above
+    for n in range(5):
+        for arcs in enumerate_arc_lists(n):
+            _check_full_size_moves(n, arcs, range(n + 1))
+
+
+def test_full_size_visible_moves_match_every_move_random():
+    rng = random.Random(7)
+    for trial in range(40):
+        n = rng.randint(5, 8)
+        p = rng.choice([0.2, 0.3, 0.45])
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        _check_full_size_moves(n, arcs, (rng.randint(1, 3),))

@@ -147,6 +147,19 @@ def test_fvs_size_limit():
         min_feedback_vertex_set(Digraph(15))
 
 
+def test_fvs_validator_rejects_malformed_witnesses():
+    def check(witness):
+        return validate_feedback_witness(C3, ProblemSolution("feedback_vertex_set", witness, 1))
+
+    assert check((0,))
+    assert check([2])
+    assert check([0, 1])
+    assert not check([])
+    for witness in ([True], [False, 1], [0, 0], [1.0], ["0"], [[0]], [3], [-1],
+                    None, 0, "0", {0}):
+        assert not check(witness), witness
+
+
 # ---------------------------------------------------------------------------
 # feedback arc set
 # ---------------------------------------------------------------------------
@@ -174,6 +187,24 @@ def test_fas_matches_oracle_random():
         sol = min_feedback_arc_set(d)
         assert sol.value == feedback_arc_number_by_orderings(d), d.arcs
         assert validate_feedback_witness(d, sol)
+
+
+def test_fas_validator_accepts_json_pairs_and_rejects_malformed_witnesses():
+    def check(witness):
+        return validate_feedback_witness(C3, ProblemSolution("feedback_arc_set", witness, 1))
+
+    assert check(((0, 1),))
+    assert check([[0, 1]])  # the shape `hard fas --json` writes
+    assert not check([])
+    assert not check([[1, 0]])
+    for witness in ([[0, 1], [0, 1]], [[0, 1], (0, 1)], [[True, 1]], [[0, "1"]], [[0, 1, 2]],
+                    [[0, [1]]], ["01"], [0, 1], None, 3, {(0, 1)}):
+        assert not check(witness), witness
+
+
+def test_feedback_validator_refuses_other_problems():
+    with pytest.raises(ValueError):
+        validate_feedback_witness(C3, ProblemSolution("minimum_equivalent_subgraph", (), 0))
 
 
 @st.composite

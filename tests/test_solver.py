@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from copwin.arena import INVISIBLE_FAST, INVISIBLE_LAZY, VISIBLE_FAST
+from copwin.arena import INVISIBLE_FAST, INVISIBLE_LAZY, VISIBLE_FAST, VISIBLE_FAST_SCC
 from copwin.digraph import Digraph, bidirect, delete_arcs, fingerprint
 from copwin.errors import CertificateError, StateBudgetExceededError
 from copwin.lab import random_digraph
@@ -316,6 +317,38 @@ def test_certificate_json_round_trip_is_bit_exact():
         again = Certificate.from_json_text(text)
         assert again == out.certificate
         assert again.to_json_text() == text
+
+
+# SHA-256 of the winner, states_explored and certificate bytes of every
+# visible solve (every k, both visible variants) over every labeled
+# digraph with n <= 3 and eight random n = 5-6 graphs.  The monotone
+# digest is the one recorded before plain solves moved to full-size cop
+# sets, which left it unchanged; the plain one was recorded on the
+# full-size moves.
+GOLDEN_VISIBLE_SOLVES = {
+    False: "75c478b6c426181de263f1417e94772ebd2f4860d533e41d313c4b329663c7c5",
+    True: "8586672b7913ec400bc078fbe84d3fd9d20741c57a95f49503e973ea888bfd7e",
+}
+
+
+def _visible_solve_digest(monotone):
+    graphs = [Digraph(n, arcs) for n in range(4) for arcs in enumerate_arc_lists(n)]
+    graphs += [random_digraph(5 + i % 2, (0.3, 0.4, 0.5)[i % 3], 40 + i) for i in range(8)]
+    h = hashlib.sha256()
+    for d in graphs:
+        for k in range(d.n + 1):
+            for variant in (VISIBLE_FAST, VISIBLE_FAST_SCC):
+                out = solve(d, k, variant, monotone)
+                h.update(repr((d.arcs, k, variant.name, out.winner.value,
+                               out.states_explored)).encode())
+                if out.certificate is not None:
+                    h.update(out.certificate.to_json_text().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("monotone", [False, True], ids=["plain", "monotone"])
+def test_visible_solve_digest(monotone):
+    assert _visible_solve_digest(monotone) == GOLDEN_VISIBLE_SOLVES[monotone]
 
 
 def test_malformed_certificate_rejected():

@@ -121,7 +121,8 @@ def _build_parser():
     p.add_argument("--p", type=float, default=DEFAULT_P, help=f"arc probability (default {DEFAULT_P})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"base seed (default {DEFAULT_SEED})")
     p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
-    p.add_argument("--jobs", type=int, default=1, help="parallel instance solves")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per CPU, fed graphs in windows")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--cert-dir", default=None,
@@ -302,6 +303,8 @@ def _gapscan_source(args):
 
 
 def _cmd_gapscan(args):
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     variant = _variant(args.variant)
     graphs = _gapscan_source(args)
     cert_dir = Path(args.cert_dir) if args.cert_dir else None

@@ -7,18 +7,24 @@ reproduced monotone failure at the same cop count.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .arena import GameVariant
-from .digraph import Digraph, fingerprint, parse_edge_list, to_edge_list
+from .digraph import Digraph, fingerprint
 from .errors import SizeLimitError, StateBudgetExceededError
 from .solver import DEFAULT_STATE_BUDGET, Certificate, gap, solve, verify_certificate
 
 ENUMERATION_MAX_N = 5
+
+# graphs a parallel gap scan draws from its source per pool map: what it
+# holds at once, however long the source
+SCAN_WINDOW = 512
 
 GAP_FIELDS = (
     "graph_id",
@@ -176,18 +182,7 @@ class GapRecord:
     attestation: Optional[dict] = None
 
     def to_row(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "n": self.n,
-            "m": self.m,
-            "variant": self.variant,
-            "copnum": self.copnum,
-            "mon_copnum": self.mon_copnum,
-            "gap": self.gap,
-            "ratio": self.ratio,
-            "runtime_ms": self.runtime_ms,
-            "status": self.status,
-        }
+        return {field: getattr(self, field) for field in GAP_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -213,10 +208,8 @@ def graph_id_of(d: Digraph) -> str:
     return fingerprint(d)[:12]
 
 
-def _scan_one(args):
-    gid, text, variant_name, state_budget, measure_runtime = args
-    d = parse_edge_list(text)
-    variant = GameVariant.from_name(variant_name)
+def _scan_one(variant, state_budget, measure_runtime, task):
+    gid, d = task
     if gid is None:
         gid = graph_id_of(d)
     started = time.perf_counter()
@@ -259,26 +252,28 @@ def _scan_records(graphs, variant, state_budget, jobs, measure_runtime):
     """Yield one GapRecord per source graph, in source order.
 
     The serial path pulls each graph from the source only when its
-    record is due; a parallel scan collects its tasks first.
+    record is due.  A parallel scan draws ``SCAN_WINDOW`` graphs at a
+    time and maps each window over one pool of at most ``jobs`` workers,
+    no more than the CPUs or the first window's graphs.
     """
-    def each_task():
-        for item in graphs:
-            gid, d = item if isinstance(item, tuple) else (None, item)
-            yield (gid, to_edge_list(d), variant.name, state_budget, measure_runtime)
-
-    tasks = each_task()
+    scan = functools.partial(_scan_one, variant, state_budget, measure_runtime)
+    tasks = (item if isinstance(item, tuple) else (None, item) for item in graphs)
     if jobs > 1:
-        tasks = list(tasks)
-        if len(tasks) > 1:
+        window = list(itertools.islice(tasks, SCAN_WINDOW))
+        workers = min(jobs, os.cpu_count() or 1, len(window))
+        if workers > 1:
             # imported here: the pool pulls in multiprocessing, which no
             # serial scan needs
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                yield from pool.map(_scan_one, tasks, chunksize=16)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                while window:
+                    yield from pool.map(scan, window, chunksize=16)
+                    window = list(itertools.islice(tasks, SCAN_WINDOW))
             return
+        tasks = itertools.chain(window, tasks)
     for task in tasks:
-        yield _scan_one(task)
+        yield scan(task)
 
 
 def gap_scan(
@@ -297,10 +292,11 @@ def gap_scan(
     runtime_ms is 0 unless measure_runtime is set (wall-clock timings
     are inherently non-reproducible).
 
-    The source is read lazily (except with ``jobs > 1``).  With a
-    ``sink``, each record is handed to it as soon as it is made and none
-    is kept: ``records`` is empty and only the summary remains, so a
-    serial scan runs in constant memory.
+    The source is read lazily: a serial scan draws each graph when its
+    record is due, and ``jobs > 1`` draws ``SCAN_WINDOW`` graphs ahead
+    at most.  With a ``sink``, each record is handed to it as soon as it
+    is made and none is kept: ``records`` is empty and only the summary
+    remains, so a scan runs in bounded memory however long its source.
     """
     records = []
     instances = solved = gaps_positive = max_gap = 0

@@ -309,6 +309,24 @@ def test_gapscan_cert_dir_digest(capsys, tmp_path):
     assert digest.hexdigest() == "cbb7a777927abb4ba3000f4306070deca0e3bcfa1165c22e8e8a5b9a336a02a0"
 
 
+@pytest.mark.parametrize("variant", ["visible", "inert"])
+@pytest.mark.parametrize("source", ["files", "exhaustive"])
+def test_gapscan_jobs_2_writes_what_jobs_1_writes(capsys, tmp_path, c3_file, variant, source):
+    chain = tmp_path / "chain.edges"
+    chain.write_text(CHAIN_TEXT)
+    graphs = [c3_file, str(chain)] if source == "files" else ["--exhaustive", "--n", "3"]
+    written = []
+    for jobs in ("1", "2"):
+        cert_dir = tmp_path / f"certs{jobs}"
+        code, out, err = run_cli(capsys, "gapscan", "--variant", variant, "--format", "jsonl",
+                                 "--jobs", jobs, "--cert-dir", str(cert_dir), *graphs)
+        assert code == 0
+        certs = {path.name: path.read_bytes() for path in cert_dir.iterdir()}
+        written.append((out.replace(str(cert_dir), "CERTS"), err, certs))
+    assert written[0] == written[1]
+    assert len(written[0][2]) == (4 if source == "files" else 128)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_gapscan_memory_does_not_grow_with_rows(tmp_path, fmt):
     # a serial scan writes each row when it is made and keeps none, so ten
@@ -341,6 +359,13 @@ def test_usage_error_exit_1(capsys, c3_file):
     code, out, _ = run_cli(capsys, "solve", "--engine", "py", "--cops", "1", c3_file)
     assert code == 1
     assert out == ""
+    # a scan needs at least one job, and says so before it opens --out
+    report = os.path.join(os.path.dirname(c3_file), "report.csv")
+    for jobs in ("0", "-1"):
+        code, out, err = run_cli(capsys, "gapscan", "--jobs", jobs, "--out", report, c3_file)
+        assert code == 1 and out == ""
+        assert err == f"usage error: --jobs must be at least 1, got {jobs}\n"
+        assert not os.path.exists(report)
 
 
 def test_parse_error_exit_2(capsys, tmp_path):

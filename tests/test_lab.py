@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 
 import pytest
@@ -175,11 +177,65 @@ def test_gap_scan_deterministic_reports():
     assert jl1 == jl2
 
 
-def test_gap_scan_parallel_matches_serial():
-    graphs = [random_digraph(4, 0.4, s) for s in range(6)]
+def test_gap_scan_parallel_matches_serial(monkeypatch):
+    # with windows of 8, a source of 20 graphs spans three windows
+    monkeypatch.setattr(lab, "SCAN_WINDOW", 8)
+    graphs = [random_digraph(4, 0.4, s) for s in range(20)]
+    graphs[::3] = [(f"id{i}", d) for i, d in enumerate(graphs[::3])]
+    drawn = []
+
+    def source():
+        for item in graphs:
+            drawn.append(item)
+            yield item
+
+    seen = []
+    parallel = gap_scan(source(), INVISIBLE_LAZY, jobs=2,
+                        sink=lambda rec: seen.append((len(drawn), rec)))
     serial = gap_scan(graphs, INVISIBLE_LAZY, jobs=1)
-    parallel = gap_scan(graphs, INVISIBLE_LAZY, jobs=2)
-    assert [r.to_row() for r in serial.records] == [r.to_row() for r in parallel.records]
+    assert [rec for _, rec in seen] == list(serial.records)
+    assert parallel.summary == serial.summary
+    # the scan never draws more than one window past the records made, so
+    # its first record of 20 comes long before the source runs dry
+    assert all(drawn_then <= made + lab.SCAN_WINDOW
+               for made, (drawn_then, _) in enumerate(seen))
+
+
+@pytest.mark.parametrize("jobs, cpus, count, workers", [
+    (5000, 8, 3, 3),  # no more workers than graphs,
+    (5000, 8, 10, 4),  # nor than the first window's graphs,
+    (5000, 3, 10, 3),  # nor than the CPUs
+    (2, 8, 10, 2),
+    (5000, None, 10, None),  # an unknown CPU count counts as one: no pool
+    (5000, 8, 1, None),  # one graph needs no pool
+    (1, 8, 10, None),
+])
+def test_gap_scan_pool_size(monkeypatch, jobs, cpus, count, workers):
+    # windows of 4: one pool serves all three windows of 10 graphs
+    monkeypatch.setattr(lab, "SCAN_WINDOW", 4)
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size it is asked for and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    graphs = [random_digraph(3, 0.4, s) for s in range(count)]
+    result = gap_scan(graphs, VISIBLE_FAST, jobs=jobs)
+    assert sizes == ([] if workers is None else [workers])
+    assert result.records == gap_scan(graphs, VISIBLE_FAST).records
 
 
 def test_gap_scan_budget_error_recorded_in_row():

@@ -75,6 +75,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _non_negative_int(text):
+    """argparse type of budgets and counts: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)  # built on first use; parse_args leaves it unchanged
 def _build_parser():
     parser = _Parser(prog="copwin", description=__doc__)
@@ -87,7 +98,7 @@ def _build_parser():
         if monotone:
             p.add_argument("--monotone", action="store_true",
                            help="restrict the cops to monotone strategies")
-        p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
+        p.add_argument("--state-budget", type=_non_negative_int, default=DEFAULT_STATE_BUDGET,
                        help=f"arena-transition budget (default {DEFAULT_STATE_BUDGET})")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -108,7 +119,7 @@ def _build_parser():
 
     p = sub.add_parser("width", help="game-characterized width measures")
     p.add_argument("--measure", required=True, choices=["dagwidth", "kellywidth", "dpw"])
-    p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+    p.add_argument("--state-budget", type=_non_negative_int, default=DEFAULT_STATE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.add_argument("graph")
 
@@ -116,11 +127,11 @@ def _build_parser():
     p.add_argument("--variant", default="visible")
     p.add_argument("--n", type=int, default=None, help="vertex count for generated sources")
     p.add_argument("--exhaustive", action="store_true", help="all labeled digraphs on n vertices")
-    p.add_argument("--random", type=int, default=None, metavar="COUNT",
+    p.add_argument("--random", type=_non_negative_int, default=None, metavar="COUNT",
                    help="COUNT random digraphs on n vertices")
     p.add_argument("--p", type=float, default=DEFAULT_P, help=f"arc probability (default {DEFAULT_P})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"base seed (default {DEFAULT_SEED})")
-    p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+    p.add_argument("--state-budget", type=_non_negative_int, default=DEFAULT_STATE_BUDGET)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most one per CPU, fed graphs in windows")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -140,7 +151,7 @@ def _build_parser():
     p.add_argument("--json", action="store_true")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv",
                    help="report output format (report subcommand)")
-    p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+    p.add_argument("--state-budget", type=_non_negative_int, default=DEFAULT_STATE_BUDGET)
     p.add_argument("graphs", nargs="+", help="edge-list files")
     return parser
 

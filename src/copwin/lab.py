@@ -215,6 +215,10 @@ def _scan_one(variant, state_budget, measure_runtime, task):
     started = time.perf_counter()
     try:
         res = gap(d, variant, state_budget=state_budget)
+        plain = res.plain.outcome
+        if plain is None:
+            # gap settled the plain value without a cop win to certify
+            plain = solve(d, res.cop_number, variant, state_budget=state_budget)
     except StateBudgetExceededError:
         elapsed = int((time.perf_counter() - started) * 1000) if measure_runtime else 0
         return GapRecord(
@@ -227,7 +231,7 @@ def _scan_one(variant, state_budget, measure_runtime, task):
     if res.gap > 0:
         # a positive gap must be machine-checkable: replay the plain
         # certificate and reproduce the monotone failure at k = copnum
-        plain_ok = bool(verify_certificate(d, res.plain.outcome.certificate))
+        plain_ok = bool(verify_certificate(d, plain.certificate))
         retry = solve(d, res.cop_number, variant, monotone=True,
                       state_budget=state_budget)
         attestation = {
@@ -242,7 +246,7 @@ def _scan_one(variant, state_budget, measure_runtime, task):
         gid, d.n, d.m, variant.name,
         res.cop_number, res.monotone_cop_number, res.gap, res.ratio,
         elapsed, status,
-        certificate_plain=res.plain.outcome.certificate,
+        certificate_plain=plain.certificate,
         certificate_monotone=res.monotone.outcome.certificate,
         attestation=attestation,
     )

@@ -29,7 +29,7 @@ from .arena import (
     robber_options_mask,
 )
 from .bits import iter_bits, mask_from, mask_to_tuple, subsets_of_size, subsets_upto
-from .digraph import Digraph, fingerprint, reach_mask
+from .digraph import Digraph, fingerprint, is_acyclic, reach_mask
 from .engine import pykernels
 from .errors import CertificateError, StateBudgetExceededError, UnsupportedVariantError
 
@@ -157,8 +157,12 @@ class Outcome:
 
 @dataclass(frozen=True)
 class CopNumberResult:
+    """The cop number and the cop-win solve at it; ``outcome`` is None
+    only on ``GapResult.plain`` when ``gap`` settled the plain value
+    without solving there."""
+
     value: int
-    outcome: Outcome
+    outcome: Optional[Outcome]
 
 
 @dataclass(frozen=True)
@@ -250,10 +254,43 @@ def gap(
     variant: GameVariant,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> GapResult:
-    """Plain vs monotone cop number; gap >= 0 and ratio >= 1 by construction."""
-    plain = cop_number(d, variant, False, state_budget)
-    # a monotone win is a fortiori a plain win, so the sweep may start at plain k
-    mono = cop_number(d, variant, True, state_budget, min_k=plain.value)
+    """Plain vs monotone cop number; gap >= 0 and ratio >= 1 by construction.
+
+    Both values are exact.  The monotone number is swept up from a lower
+    bound lb, then the plain number is found by descending from it:
+
+    * lb = 0 on the empty graph, 1 on any other acyclic one (with no
+      cop the robber is never caught), and 2 on a digraph with a cycle.
+    * Cycle lemma: on a digraph with a cycle Z one cop never wins, in
+      any variant, plain or monotone (a monotone strategy is a plain
+      one).  A move C -> C' with C' != C has guard C & C' empty, as
+      both hold at most one vertex.  The visible robber starts on Z.
+      Against such a move it reaches all of Z, and lands on a vertex
+      of Z outside C', as |Z| >= 2; under strong confinement too, as Z
+      lies in one strong component, of at least 2 vertices.  If
+      C' = C it stays put.  The invisible robber keeps some vertex z
+      of Z contaminated and free of the cop.  A cop landing on z makes
+      the fast robber run on along Z, and the hit lazy robber
+      re-contaminates Z minus z; any other move leaves z contaminated.
+    * Descent: a cop win with k cops is a cop win with k + 1, and a
+      monotone win is a plain win.  So plain <= mono, and solving plain
+      play at k = mono - 1, mono - 2, ..., lb, the first robber win at
+      k gives plain = k + 1; if the cops win down to lb, plain = lb.
+
+    When plain = mono there is no plain cop-win solve, so the plain
+    ``CopNumberResult`` carries ``outcome=None``; the solve at
+    k = mono - 1 is then the one plain solve, a robber win, and there
+    is none when mono = lb.  ``solve`` and ``cop_number`` sweep from
+    k = 0 and use neither bound.
+    """
+    lb = 0 if d.n == 0 else 1 if is_acyclic(d) else 2
+    mono = cop_number(d, variant, True, state_budget, min_k=lb)
+    plain = CopNumberResult(mono.value, None)
+    for k in range(mono.value - 1, lb - 1, -1):
+        outcome = solve(d, k, variant, False, state_budget)
+        if not outcome.cops_win:
+            break
+        plain = CopNumberResult(k, outcome)
     g = mono.value - plain.value
     ratio = mono.value / plain.value if plain.value else 1.0
     return GapResult(plain.value, mono.value, g, ratio, plain, mono)

@@ -366,6 +366,18 @@ def test_usage_error_exit_1(capsys, c3_file):
         assert code == 1 and out == ""
         assert err == f"usage error: --jobs must be at least 1, got {jobs}\n"
         assert not os.path.exists(report)
+    # a negative budget is a usage error on every verb, not a budget error
+    for verb in (["solve", "--cops", "1"], ["copnum"], ["gap"], ["width", "--measure", "dpw"],
+                 ["gapscan"], ["hard", "fvs"]):
+        code, out, err = run_cli(capsys, *verb, "--state-budget", "-1", c3_file)
+        assert code == 1 and out == "", verb
+        assert err == "usage error: argument --state-budget: must be at least 0, got -1\n"
+    code, out, err = run_cli(capsys, "gapscan", "--random", "-5", "--n", "3")
+    assert code == 1 and out == ""
+    assert err == "usage error: argument --random: must be at least 0, got -5\n"
+    code, out, err = run_cli(capsys, "copnum", "--state-budget", "x", c3_file)
+    assert code == 1 and out == ""
+    assert err == "usage error: argument --state-budget: invalid int value: 'x'\n"
 
 
 def test_parse_error_exit_2(capsys, tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from copwin.arena import INVISIBLE_LAZY, VISIBLE_FAST
+from copwin.arena import INVISIBLE_LAZY, SUPPORTED_VARIANTS, VISIBLE_FAST
 from copwin.digraph import Digraph, fingerprint
 from copwin.errors import SizeLimitError
 from copwin import lab
@@ -20,6 +20,7 @@ from copwin.lab import (
     random_digraph,
 )
 from copwin.reports import rows_to_csv, rows_to_jsonl
+from copwin.solver import gap, solve, verify_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +247,29 @@ def test_gap_scan_budget_error_recorded_in_row():
     # the scan continued: the trivial second instance still solved
     assert result.records[1].status == "ok"
     assert result.summary.errors == 1
+
+
+@pytest.mark.parametrize("variant", SUPPORTED_VARIANTS, ids=lambda v: v.name)
+def test_gap_scan_certifies_a_plain_value_that_gap_did_not_solve(variant):
+    graphs = [Digraph(0), Digraph(3, [(0, 1), (1, 2), (2, 0)]),
+              Digraph(4, [(0, 1), (0, 2), (2, 3)]), random_digraph(5, 0.4, 7)]
+    records = gap_scan(graphs, variant).records
+    for d, rec in zip(graphs, records):
+        assert gap(d, variant).plain.outcome is None
+        assert rec.status == "ok"
+        assert rec.certificate_plain == solve(d, rec.copnum, variant).certificate
+        assert verify_certificate(d, rec.certificate_plain)
+
+
+def test_gap_scan_budget_error_in_the_certificate_solve():
+    # at this budget gap settles both values, but the plain cop-win
+    # solve that certifies them does not fit
+    d = Digraph(4, [(0, 1), (0, 2), (2, 3)])
+    res = gap(d, VISIBLE_FAST, state_budget=106)
+    assert (res.cop_number, res.plain.outcome) == (1, None)
+    rec = gap_scan([d], VISIBLE_FAST, state_budget=106).records[0]
+    assert rec.status == "budget-exceeded"
+    assert (rec.copnum, rec.mon_copnum, rec.certificate_plain) == (None, None, None)
 
 
 def test_gap_scan_honours_explicit_ids():

@@ -3,12 +3,21 @@ import random
 
 import pytest
 
-from copwin.arena import INVISIBLE_FAST, INVISIBLE_LAZY, VISIBLE_FAST, VISIBLE_FAST_SCC
-from copwin.digraph import Digraph, bidirect, delete_arcs, fingerprint
+from copwin import solver
+from copwin.arena import (
+    INVISIBLE_FAST,
+    INVISIBLE_LAZY,
+    SUPPORTED_VARIANTS,
+    VISIBLE_FAST,
+    VISIBLE_FAST_SCC,
+)
+from copwin.digraph import Digraph, bidirect, delete_arcs, fingerprint, is_acyclic
 from copwin.errors import CertificateError, StateBudgetExceededError
 from copwin.lab import random_digraph
 from copwin.solver import (
+    DEFAULT_STATE_BUDGET,
     Certificate,
+    Outcome,
     Winner,
     cop_number,
     gap,
@@ -184,6 +193,93 @@ def test_gap_examples():
     assert (res.cop_number, res.monotone_cop_number, res.gap, res.ratio) == (2, 2, 0, 1.0)
     res = gap(SINGLE, INVISIBLE_LAZY)
     assert (res.cop_number, res.monotone_cop_number, res.gap, res.ratio) == (1, 1, 0, 1.0)
+
+
+def _swept_gap(d, variant):
+    return (cop_number(d, variant, False).value, cop_number(d, variant, True).value)
+
+
+@pytest.mark.parametrize("variant", SUPPORTED_VARIANTS, ids=lambda v: v.name)
+def test_gap_matches_both_sweeps_census_n_le_3(variant):
+    for n in range(4):
+        for arcs in enumerate_arc_lists(n):
+            d = Digraph(n, arcs)
+            res = gap(d, variant)
+            assert (res.cop_number, res.monotone_cop_number) == _swept_gap(d, variant), arcs
+
+
+@pytest.mark.parametrize("variant", [VISIBLE_FAST, INVISIBLE_LAZY], ids=lambda v: v.name)
+def test_gap_matches_both_sweeps_census_n4(variant):
+    for arcs in enumerate_arc_lists(4):
+        d = Digraph(4, arcs)
+        res = gap(d, variant)
+        assert (res.cop_number, res.monotone_cop_number) == _swept_gap(d, variant), arcs
+
+
+def test_gap_matches_both_sweeps_random_n5_n7():
+    rng = random.Random(1414)
+    for trial in range(40):
+        d = random_digraph(rng.randint(5, 7), rng.choice([0.2, 0.35, 0.5]), 1400 + trial)
+        variant = SUPPORTED_VARIANTS[trial % 4]
+        res = gap(d, variant)
+        assert (res.cop_number, res.monotone_cop_number) == _swept_gap(d, variant), trial
+        assert res.gap == res.monotone_cop_number - res.cop_number
+
+
+def test_one_cop_loses_on_any_cycle_census_n_le_4():
+    # the cycle lemma behind gap's lower bound of 2
+    for n in range(2, 5):
+        for arcs in enumerate_arc_lists(n):
+            d = Digraph(n, arcs)
+            if is_acyclic(d):
+                continue
+            for variant in SUPPORTED_VARIANTS:
+                for mono in (False, True):
+                    assert not solve(d, 1, variant, mono).cops_win, (arcs, variant, mono)
+
+
+def _counting_solve(monkeypatch, real):
+    calls = []
+
+    def counted(d, k, variant, monotone=False, state_budget=DEFAULT_STATE_BUDGET):
+        calls.append((k, monotone))
+        return real(d, k, variant, monotone, state_budget)
+
+    monkeypatch.setattr(solver, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", SUPPORTED_VARIANTS, ids=lambda v: v.name)
+def test_gap_solves_once_when_the_bound_is_met(monkeypatch, variant):
+    calls = _counting_solve(monkeypatch, solve)
+    res = gap(C3, variant)
+    assert calls == [(2, True)]
+    assert (res.cop_number, res.monotone_cop_number, res.plain.outcome) == (2, 2, None)
+    del calls[:]
+    res = gap(CHAIN, variant)
+    assert calls == [(1, True)]
+    assert (res.cop_number, res.monotone_cop_number, res.plain.outcome) == (1, 1, None)
+
+
+@pytest.mark.parametrize("plain, mono, descent",
+                         [(2, 4, [3, 2]), (3, 4, [3, 2]), (4, 4, [3]), (2, 2, [])])
+def test_gap_descent_finds_a_plain_value_below_monotone(monkeypatch, plain, mono, descent):
+    # no small digraph has a gap, so a fake solve plays one: the cops
+    # win from k = plain in plain play and from k = mono in monotone play
+    def fake(d, k, variant, monotone, state_budget):
+        won = k >= (mono if monotone else plain)
+        return Outcome(Winner.COPS if won else Winner.ROBBER, None, k)
+
+    calls = _counting_solve(monkeypatch, fake)
+    k5 = bidirect(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    res = gap(k5, VISIBLE_FAST)
+    assert (res.cop_number, res.monotone_cop_number, res.gap) == (plain, mono, mono - plain)
+    # the monotone sweep from 2, then plain play down to the first robber win or to 2
+    assert calls == [(k, True) for k in range(2, mono + 1)] + [(k, False) for k in descent]
+    if plain < mono:
+        assert res.plain.outcome.states_explored == plain
+    else:
+        assert res.plain.outcome is None
 
 
 def test_strong_component_confinement_extension():

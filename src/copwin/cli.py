@@ -298,6 +298,11 @@ def _cmd_width(args):
 
 def _gapscan_source(args):
     """Graphs to scan; generated sources are produced lazily."""
+    given = [name for name, on in (("--exhaustive", args.exhaustive),
+                                   ("--random", args.random is not None),
+                                   ("graph files", bool(args.graphs))) if on]
+    if len(given) > 1:
+        raise UsageError(f"gapscan takes one source, got {' and '.join(given)}")
     if args.exhaustive:
         if args.n is None:
             raise UsageError("--exhaustive requires --n")

@@ -107,14 +107,20 @@ class Digraph:
 # Edge-list v1 format
 # ---------------------------------------------------------------------------
 
+# Largest vertex count a file may declare or imply: a count is read before
+# any arc, and a Digraph allocates per-vertex tables for it.
+MAX_VERTICES = 1 << 20
+
+
 def parse_edge_list(text: str) -> Digraph:
     """Parse the line-oriented edge-list v1 format.
 
     Comment lines start with ``#``.  An optional first non-comment line
     ``n <count>`` declares the vertex count; otherwise it is inferred as
     1 + the largest id seen (0 for an empty input).  Every other line is
-    one arc ``u v``.  Self-loops, duplicate arcs, and ids at or above a
-    declared count are hard errors.
+    one arc ``u v``.  Self-loops, duplicate arcs, ids at or above a
+    declared count, and counts or ids implying more than ``MAX_VERTICES``
+    vertices are hard errors.
     """
     declared_n = None
     arcs = []
@@ -137,6 +143,10 @@ def parse_edge_list(text: str) -> Digraph:
                 raise EdgeListParseError(f"malformed vertex count {parts[1]!r}", line_no) from None
             if declared_n < 0:
                 raise EdgeListParseError("vertex count must be non-negative", line_no)
+            if declared_n > MAX_VERTICES:
+                raise EdgeListParseError(
+                    f"vertex count {declared_n} exceeds the limit of {MAX_VERTICES}", line_no
+                )
             continue
         if len(parts) != 2:
             raise EdgeListParseError(f"malformed arc line {line!r}", line_no)
@@ -152,6 +162,10 @@ def parse_edge_list(text: str) -> Digraph:
         if declared_n is not None and (u >= declared_n or v >= declared_n):
             raise EdgeListParseError(
                 f"vertex id in ({u},{v}) exceeds declared count {declared_n}", line_no
+            )
+        if u >= MAX_VERTICES or v >= MAX_VERTICES:
+            raise EdgeListParseError(
+                f"vertex id in ({u},{v}) exceeds the limit of {MAX_VERTICES} vertices", line_no
             )
         if (u, v) in seen:
             raise EdgeListParseError(f"duplicate arc ({u},{v})", line_no)

@@ -19,7 +19,9 @@ guard, the row ``reach_mask(adj, 1 << v, guard)`` for every vertex v
 (0 for v in the guard), built when it first expands a cop set with that
 guard: all rows together cost at most g*n BFS calls and g*n ints per
 solve, instead of one BFS per transition, and any reachable set is the
-OR of the rows of its sources.  In the plain invisible search every
+OR of the rows of its sources.  A monotone solve without strong
+confinement builds only the rows of the cop sets themselves (see the
+boundary rule below).  In the plain invisible search every
 robber run starts at a single vertex v (see the one-vertex moves
 below), so that kernel memoises each run ``reach_mask(succ, 1 << v,
 guard)`` on its first use, under the key guard * n + v.  Either way
@@ -40,7 +42,30 @@ to its members gives the strategy map the vertex-level attractor gives.
 ``transitions`` and the budget count this quotient arena: 1 per cop
 move tried from a class, plus 1 per robber-response class the move
 links.  That is never more than the vertex-level count, and equal to
-it when every class is a single vertex (D acyclic, say).
+it when every class is a single vertex (D acyclic, say).  A monotone
+move that the boundary rule below vetoes is counted as tried, but not
+examined: one per move up to the first capture, or m - 1 from a class
+with none, as if each were looked at in turn, so a budget that stops a
+solve among them reports budget + 1 explored.
+
+Monotone moves keep the boundary.  Take a class of D - C with territory
+T (the vertices it reaches avoiding C) and let B be the cops of C with
+an arc from T.  With reachability confinement, a monotone move C -> C'
+is vetoed iff C' does not contain B, and when it is not vetoed the
+robber's options are exactly T - C'.  Let opts = reach(r avoiding
+C & C') - C'.  Anything a vertex of opts reaches avoiding C' is again
+in opts, so the territories of the responses together are opts, and
+the move is vetoed iff opts is not a subset of T.  A cop v of B that
+C' lifts is reached from T avoiding C & C' and is not in T, so v is in
+opts - T.  If C' keeps every cop of B, every arc out of T ends on a
+cop of C & C', so the robber stays in T and opts = T - C'.  So a
+monotone solve without strong confinement computes B once per class
+and tries only the moves that contain it (an index of the moves by B
+is built once per solve), with capture iff T is a subset of C'.  Under
+strong confinement the options shrink to the robber's strong
+component, a lifted cop of B need not be among them, and only "C'
+contains B implies not vetoed" holds; strong solves, like plain ones,
+keep the loop over every move.
 
 Full-size moves in plain visible play.  ``solver.solve`` hands a plain
 visible solve with 1 <= k <= n cops the empty start and the cop sets of
@@ -247,9 +272,64 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
     rev = [[] for _ in range(num_cls)]
     queue = []
 
+    guarded = {}  # monotone, not strong: B -> indices of the moves containing B
     for ci in range(m):
         cmask = moves[ci]
         if cmask == full:
+            continue
+        s_row = space[ci]
+        if monotone and not strong:
+            # a move is vetoed iff it lifts a cop of B, the cops with an arc
+            # from the territory; vetoed moves are counted, not examined
+            cops = []  # (cop bit, its in-neighbours)
+            f = cmask
+            while f:
+                low = f & -f
+                cops.append((low, pred[low.bit_length() - 1]))
+                f ^= low
+            for q in range(first[ci], first[ci + 1]):
+                s_old = s_row[reps[q]]  # the territory
+                b = 0
+                for low, into in cops:
+                    if into & s_old:
+                        b |= low
+                cands = guarded.get(b)
+                if cands is None:
+                    cands = guarded[b] = [j for j, cj in enumerate(moves) if cj & b == b]
+                tried = 0  # moves counted from q, vetoed or not (C' = C is not)
+                for j in cands:
+                    if j == ci:
+                        continue
+                    upto = j + (j < ci)
+                    transitions += upto - tried
+                    tried = upto
+                    if transitions > budget:  # counted one by one, they stop at budget + 1
+                        raise StateBudgetExceededError(budget, budget + 1)
+                    cj = moves[j]
+                    opts = s_old & ~cj
+                    if opts == 0:  # capture
+                        win_round[q] = 1
+                        best_move[q] = j
+                        queue.append(q)
+                        break
+                    rid = q * m + j
+                    ids = cls_id[j]
+                    masks = cls_mask[j]
+                    deg = 0
+                    f = opts
+                    while f:
+                        x = (f & -f).bit_length() - 1
+                        rev[ids[x]].append(rid)
+                        deg += 1
+                        f &= ~masks[x]
+                    cnt[rid] = deg
+                    transitions += deg
+                    if transitions > budget:
+                        raise StateBudgetExceededError(budget, transitions)
+                else:
+                    transitions += m - 1 - tried
+                    if transitions > budget:
+                        raise StateBudgetExceededError(budget, budget + 1)
             continue
         # rows of the guards C & C' for every C', shared by all classes
         # (a row is a non-empty list, since m > 1 implies n > 0)
@@ -257,7 +337,6 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
                for cj in moves]
         bwd = [bwd_rows.get(cmask & cj) or _rows(bwd_rows, pred, n, cmask & cj)
                for cj in moves] if strong else None
-        s_row = space[ci]
         for q in range(first[ci], first[ci + 1]):
             r = reps[q]
             s_old = s_row[r]

@@ -21,6 +21,7 @@ from copwin.digraph import Digraph, bidirect, delete_arcs, reach, reach_mask
 from copwin.errors import CertificateError, UnsupportedVariantError
 from copwin.lab import random_digraph
 from copwin.solver import solve, verify_certificate
+from oracles import enumerate_arc_lists
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 CHAIN = Digraph(3, [(0, 1), (1, 2)])
@@ -143,6 +144,57 @@ def test_robber_options_strong_component_confinement():
     assert opts(C3, [], [0], 0, strong=True) == {1, 2}
     # chain has singleton components: a fast robber may still only sit still
     assert opts(CHAIN, [], [1], 0, strong=True) == {0}
+
+
+def _check_boundary_lemma(d, k):
+    """The boundary lemma of the monotone visible kernel, on every class of
+    D - C and every move C -> C' of at most k cops, from the game
+    semantics alone: with T the class's territory and B the cops of C
+    with an arc from T, a response re-grows the territory iff C' misses
+    a cop of B, and a move that keeps B leaves the robber T - C'.  Under
+    strong confinement a move that keeps B is never vetoed."""
+    n = d.n
+    succ = d.succ_masks
+    cop_sets = subsets_upto(n, k)
+    space = {(c, x): reach_mask(succ, 1 << x, c)
+             for c in cop_sets for x in range(n) if not c >> x & 1}
+    for c in cop_sets:
+        for r in range(n):
+            if c >> r & 1:
+                continue
+            t = space[c, r]
+            cls = sum(1 << u for u in iter_bits(t) if space[c, u] >> r & 1)
+            if cls & -cls != 1 << r:  # one robber vertex per class: its lowest
+                continue
+            b = c & mask_from(v for u in iter_bits(t) for v in d.out_neighbors(u))
+            for c2 in cop_sets:
+                keeps = c2 & b == b
+                for strong in (False, True):
+                    where = (d.arcs, c, r, c2, strong)
+                    landing = robber_options_mask(d, c, c2, r, strong)
+                    vetoed = any(space[c2, x] & ~t for x in iter_bits(landing))
+                    if strong:
+                        assert not (keeps and vetoed), where
+                    else:
+                        assert vetoed != keeps, where
+                        if keeps:
+                            assert landing == t & ~c2, where
+
+
+def test_boundary_lemma_census():
+    # every labeled digraph with n <= 4; k = n admits every pair of cop
+    # sets, so it covers every smaller k as well
+    for n in range(5):
+        for arcs in enumerate_arc_lists(n):
+            _check_boundary_lemma(Digraph(n, arcs), n)
+
+
+def test_boundary_lemma_random():
+    rng = random.Random(8)
+    for trial in range(40):
+        n = rng.randint(5, 7)
+        _check_boundary_lemma(random_digraph(n, rng.choice([0.2, 0.3, 0.45]), trial),
+                              rng.randint(1, 3))
 
 
 def test_robber_options_rejects_robber_on_cop():

@@ -378,6 +378,17 @@ def test_usage_error_exit_1(capsys, c3_file):
     code, out, err = run_cli(capsys, "copnum", "--state-budget", "x", c3_file)
     assert code == 1 and out == ""
     assert err == "usage error: argument --state-budget: invalid int value: 'x'\n"
+    # one source per scan: a second one is refused before --out is opened
+    for extra in (["--random", "3"], [c3_file]):
+        code, out, err = run_cli(capsys, "gapscan", "--exhaustive", "--n", "3", *extra,
+                                 "--out", report)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: gapscan takes one source, got --exhaustive and ")
+        assert err.count("\n") == 1
+        assert not os.path.exists(report)
+    code, out, err = run_cli(capsys, "gapscan", "--random", "2", "--n", "3", c3_file)
+    assert code == 1
+    assert err == "usage error: gapscan takes one source, got --random and graph files\n"
 
 
 def test_parse_error_exit_2(capsys, tmp_path):
@@ -393,6 +404,19 @@ def test_parse_error_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "copnum", str(binary))
     assert code == 2
     assert "is not UTF-8 text" in err
+    # a vertex count past MAX_VERTICES, declared or implied by an id, is
+    # refused before any per-vertex table is allocated
+    for name, text, message in (
+        ("huge_n.edges", "n 300000000",
+         "line 1: vertex count 300000000 exceeds the limit of 1048576\n"),
+        ("huge_id.edges", "0 1\n0 1000000000\n",
+         "line 2: vertex id in (0,1000000000) exceeds the limit of 1048576 vertices\n"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "copnum", str(path))
+        assert code == 2 and out == ""
+        assert err == "parse error: " + message
 
 
 def test_budget_exceeded_exit_3(capsys, c3_file):

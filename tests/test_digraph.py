@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copwin.digraph import (
+    MAX_VERTICES,
     Digraph,
     bidirect,
     delete_arcs,
@@ -75,6 +76,15 @@ def test_parse_large_file_and_late_duplicate():
 def test_parse_id_above_declared_count_rejected():
     with pytest.raises(EdgeListParseError):
         parse_edge_list("n 2\n0 2")
+
+
+def test_parse_vertex_count_cap():
+    # the cap itself is accepted, declared or implied; one more is refused
+    assert parse_edge_list(f"n {MAX_VERTICES}").n == MAX_VERTICES
+    assert parse_edge_list(f"{MAX_VERTICES - 1} 0").n == MAX_VERTICES
+    for text in (f"n {MAX_VERTICES + 1}", f"0 {MAX_VERTICES}", f"{MAX_VERTICES} 0"):
+        with pytest.raises(EdgeListParseError, match="exceeds the limit"):
+            parse_edge_list(text)
 
 
 def test_parse_malformed_line_rejected():

@@ -137,38 +137,67 @@ def _dense_instance(rng, n, p, shape):
     return succ, pred
 
 
-def test_visible_quotient_matches_vertex_level_oracle():
-    # Dense n = 7..9 graphs put many robber spots in one strong component
-    # of D - C, unlike the n <= 6 digest streams; in acyclic graphs every
-    # component is one vertex, so the quotient count is the vertex-level
-    # count.  Budgets at and above the count change nothing; budgets of
-    # 1, a third of the count and one transition short must give up.
+def _dense_cases():
+    """(trial, shape, succ, pred, n, moves): dense n = 7..9 graphs of every shape."""
     rng = random.Random(5)
     cases = [(7, 3), (7, 3), (8, 2), (8, 3), (9, 2), (9, 2)]
     for trial, (n, k) in enumerate(cases):
         for shape in ("any", "bidirected", "acyclic"):
             p = rng.choice([0.3, 0.4, 0.5, 0.6])
             succ, pred = _dense_instance(rng, n, p, shape)
-            moves = subsets_upto(n, k)
-            for mono in (False, True):
-                for strong in (False, True):
-                    args = (succ, pred, n, moves, mono, strong)
-                    where = (trial, shape, mono, strong)
-                    win, strategy, vertex_level = naive_solve_visible(*args, 10**9)
-                    got = pykernels.solve_visible(*args, 10**9)
-                    count = got[2]
-                    assert got[:2] == (win, strategy), where
-                    if shape == "acyclic":
-                        assert count == vertex_level, where
-                    else:
-                        assert count <= vertex_level, where
-                    for budget in (count, 2 * count):
-                        assert pykernels.solve_visible(*args, budget) == got, where
-                    for budget in (1, count // 3, count - 1):
-                        with pytest.raises(StateBudgetExceededError) as err:
-                            pykernels.solve_visible(*args, budget)
-                        assert err.value.budget == budget, where
-                        assert err.value.explored > budget, where
+            yield trial, shape, succ, pred, n, subsets_upto(n, k)
+
+
+def test_visible_quotient_matches_vertex_level_oracle():
+    # Dense n = 7..9 graphs put many robber spots in one strong component
+    # of D - C, unlike the n <= 6 digest streams; in acyclic graphs every
+    # component is one vertex, so the quotient count is the vertex-level
+    # count.  Budgets at and above the count change nothing; budgets of
+    # 1, a third of the count and one transition short must give up.
+    for trial, shape, succ, pred, n, moves in _dense_cases():
+        for mono in (False, True):
+            for strong in (False, True):
+                args = (succ, pred, n, moves, mono, strong)
+                where = (trial, shape, mono, strong)
+                win, strategy, vertex_level = naive_solve_visible(*args, 10**9)
+                got = pykernels.solve_visible(*args, 10**9)
+                count = got[2]
+                assert got[:2] == (win, strategy), where
+                if shape == "acyclic":
+                    assert count == vertex_level, where
+                else:
+                    assert count <= vertex_level, where
+                for budget in (count, 2 * count):
+                    assert pykernels.solve_visible(*args, budget) == got, where
+                for budget in (1, count // 3, count - 1):
+                    with pytest.raises(StateBudgetExceededError) as err:
+                        pykernels.solve_visible(*args, budget)
+                    assert err.value.budget == budget, where
+                    assert err.value.explored > budget, where
+
+
+# SHA-256 of the monotone reachability-confined solves of _dense_cases:
+# winner, strategy and count, then the (budget, explored) pair of
+# StateBudgetExceededError at 20 budgets spread over 1..count.  The
+# n <= 6 golden streams pin where a solve gives up only on small graphs;
+# this pins it where territories span many classes and many monotone
+# moves are vetoed.  Recorded on the kernel that found each veto by
+# walking the move's responses, before the boundary rule of the
+# ``pykernels`` docstring.
+GOLDEN_VISIBLE_MONOTONE_DENSE = "374f2b9b397ef5743e15563bb3e07644a2c8faea15273915bc6fd86a42170a92"
+
+
+def test_visible_monotone_dense_count_digest():
+    h = hashlib.sha256()
+    for _, _, succ, pred, n, moves in _dense_cases():
+        args = (succ, pred, n, moves, True, False)
+        got = _golden_entry(lambda: pykernels.solve_visible(*args, 10**9))
+        h.update(repr(got).encode())
+        count = got[2]
+        for budget in sorted({1 + (count - 1) * i // 19 for i in range(20)}):
+            entry = _golden_entry(lambda: pykernels.solve_visible(*args, budget))
+            h.update(repr((budget, entry)).encode())
+    assert h.hexdigest() == GOLDEN_VISIBLE_MONOTONE_DENSE
 
 
 def _check_invisible(n, arcs, ks):

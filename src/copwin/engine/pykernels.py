@@ -1,11 +1,11 @@
 """Pure-Python solver kernels.
 
-These are the hot loops: bit-mask reachability, the backward-induction
-attractor for the visible game, the breadth-first contamination search
-for the plain invisible games and the elimination search for the
-monotone ones.  There is no compiled twin; the former
-kernels in ``tests/oracles.py`` (``naive_solve_visible``,
-``naive_solve_invisible``) are the references they are tested against.
+These are the hot loops: the backward-induction attractor for the
+visible game, the breadth-first contamination search for the plain
+invisible games and the elimination search for the monotone ones.
+There is no compiled twin; the former kernels in ``tests/oracles.py``
+(``naive_solve_visible``, ``naive_solve_invisible``) are the references
+they are tested against.  Reachability is ``digraph.reach_mask``.
 
 Kernel inputs are already lowered: successor/predecessor masks, a
 canonically ordered cop-move list that starts with the empty set
@@ -42,11 +42,10 @@ to its members gives the strategy map the vertex-level attractor gives.
 ``transitions`` and the budget count this quotient arena: 1 per cop
 move tried from a class, plus 1 per robber-response class the move
 links.  That is never more than the vertex-level count, and equal to
-it when every class is a single vertex (D acyclic, say).  A monotone
-move that the boundary rule below vetoes is counted as tried, but not
-examined: one per move up to the first capture, or m - 1 from a class
-with none, as if each were looked at in turn, so a budget that stops a
-solve among them reports budget + 1 explored.
+it in plain and strong solves when every class is a single vertex (D
+acyclic, say).  The moves that the boundary rule below skips are
+neither examined nor counted, so a monotone solve without strong
+confinement counts only the moves it tries.
 
 Monotone moves keep the boundary.  Take a class of D - C with territory
 T (the vertices it reaches avoiding C) and let B be the cops of C with
@@ -65,7 +64,9 @@ is built once per solve), with capture iff T is a subset of C'.  Under
 strong confinement the options shrink to the robber's strong
 component, a lifted cop of B need not be among them, and only "C'
 contains B implies not vetoed" holds; strong solves, like plain ones,
-keep the loop over every move.
+try every move, and a monotone strong solve walks each move's
+responses for a veto.  All modes share one move loop: only the guard
+rows of a cop set and the moves tried from a class depend on the mode.
 
 Full-size moves in plain visible play.  ``solver.solve`` hands a plain
 visible solve with 1 <= k <= n cops the empty start and the cop sets of
@@ -182,22 +183,8 @@ states and tries at most n steps from each.
 """
 from __future__ import annotations
 
+from ..digraph import reach_mask
 from ..errors import StateBudgetExceededError
-
-
-def reach_mask(succ, src, forbidden):
-    closed = src & ~forbidden
-    frontier = closed
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= succ[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~forbidden & ~closed
-        closed |= frontier
-    return closed
 
 
 def _rows(cache, adj, n, guard):
@@ -272,23 +259,36 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
     rev = [[] for _ in range(num_cls)]
     queue = []
 
-    guarded = {}  # monotone, not strong: B -> indices of the moves containing B
+    boundary = monotone and not strong  # the boundary rule picks the moves
+    walk = monotone and strong  # a move's responses are walked for a veto
+    guarded = {}  # boundary rule: B -> indices of the moves containing B
+    cands = range(m)  # the moves tried from a class; the boundary rule narrows them
     for ci in range(m):
         cmask = moves[ci]
         if cmask == full:
             continue
         s_row = space[ci]
-        if monotone and not strong:
-            # a move is vetoed iff it lifts a cop of B, the cops with an arc
-            # from the territory; vetoed moves are counted, not examined
+        if boundary:
+            # every move tried leaves the robber its territory minus C'
+            fwd = [s_row] * m
             cops = []  # (cop bit, its in-neighbours)
             f = cmask
             while f:
                 low = f & -f
                 cops.append((low, pred[low.bit_length() - 1]))
                 f ^= low
-            for q in range(first[ci], first[ci + 1]):
-                s_old = s_row[reps[q]]  # the territory
+        else:
+            # rows of the guards C & C' for every C', shared by all classes
+            # (a row is a non-empty list, since m > 1 implies n > 0)
+            fwd = [fwd_rows.get(cmask & cj) or _rows(fwd_rows, succ, n, cmask & cj)
+                   for cj in moves]
+            bwd = [bwd_rows.get(cmask & cj) or _rows(bwd_rows, pred, n, cmask & cj)
+                   for cj in moves] if strong else None
+        for q in range(first[ci], first[ci + 1]):
+            r = reps[q]
+            s_old = s_row[r]
+            if boundary:
+                # only the moves that keep B, the cops with an arc from the territory
                 b = 0
                 for low, into in cops:
                     if into & s_old:
@@ -296,51 +296,7 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
                 cands = guarded.get(b)
                 if cands is None:
                     cands = guarded[b] = [j for j, cj in enumerate(moves) if cj & b == b]
-                tried = 0  # moves counted from q, vetoed or not (C' = C is not)
-                for j in cands:
-                    if j == ci:
-                        continue
-                    upto = j + (j < ci)
-                    transitions += upto - tried
-                    tried = upto
-                    if transitions > budget:  # counted one by one, they stop at budget + 1
-                        raise StateBudgetExceededError(budget, budget + 1)
-                    cj = moves[j]
-                    opts = s_old & ~cj
-                    if opts == 0:  # capture
-                        win_round[q] = 1
-                        best_move[q] = j
-                        queue.append(q)
-                        break
-                    rid = q * m + j
-                    ids = cls_id[j]
-                    masks = cls_mask[j]
-                    deg = 0
-                    f = opts
-                    while f:
-                        x = (f & -f).bit_length() - 1
-                        rev[ids[x]].append(rid)
-                        deg += 1
-                        f &= ~masks[x]
-                    cnt[rid] = deg
-                    transitions += deg
-                    if transitions > budget:
-                        raise StateBudgetExceededError(budget, transitions)
-                else:
-                    transitions += m - 1 - tried
-                    if transitions > budget:
-                        raise StateBudgetExceededError(budget, budget + 1)
-            continue
-        # rows of the guards C & C' for every C', shared by all classes
-        # (a row is a non-empty list, since m > 1 implies n > 0)
-        fwd = [fwd_rows.get(cmask & cj) or _rows(fwd_rows, succ, n, cmask & cj)
-               for cj in moves]
-        bwd = [bwd_rows.get(cmask & cj) or _rows(bwd_rows, pred, n, cmask & cj)
-               for cj in moves] if strong else None
-        for q in range(first[ci], first[ci + 1]):
-            r = reps[q]
-            s_old = s_row[r]
-            for j in range(m):
+            for j in cands:
                 if j == ci:  # C' = C never changes any state
                     continue
                 cj = moves[j]
@@ -358,17 +314,15 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
                     queue.append(q)
                     break
                 masks = cls_mask[j]
-                if monotone:
+                if walk:
                     space_j = space[j]
                     f = opts
-                    vetoed = False
                     while f:
                         x = (f & -f).bit_length() - 1
                         if space_j[x] & ~s_old:
-                            vetoed = True
                             break
                         f &= ~masks[x]
-                    if vetoed:
+                    if f:
                         continue  # some response re-grows the territory: losing move
                 rid = q * m + j
                 ids = cls_id[j]
@@ -421,7 +375,7 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
     return True, strategy, transitions
 
 
-def solve_invisible(succ, n, k, lazy, monotone, budget):
+def solve_invisible(succ, pred, n, k, lazy, monotone, budget):
     """Search for a cop win against an invisible robber with k cops.
 
     Single-player: the cops win iff some move sequence empties the
@@ -438,14 +392,6 @@ def solve_invisible(succ, n, k, lazy, monotone, budget):
     if monotone:
         return _eliminate(succ, n, k, lazy, budget)
     toggles = {}
-    if not lazy:
-        pred = [0] * n
-        for u in range(n):
-            f = succ[u]
-            while f:
-                low = f & -f
-                pred[low.bit_length() - 1] |= 1 << u
-                f ^= low
     seen = {full}  # key (C << n) | R; the start has C = 0, R = V
     state_c = [0]
     state_r = [full]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .arena import GameVariant
-from .digraph import Digraph, fingerprint
+from .digraph import Digraph, fingerprint, reach_mask
 from .errors import SizeLimitError, StateBudgetExceededError
 from .solver import DEFAULT_STATE_BUDGET, Certificate, gap, solve, verify_certificate
 
@@ -147,18 +147,7 @@ def _connected_undirected(n, edges):
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
+    return reach_mask(adj, 1, 0) == (1 << n) - 1
 
 
 # ---------------------------------------------------------------------------

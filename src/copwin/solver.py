@@ -219,7 +219,7 @@ def solve(
         return Outcome(Winner.COPS, cert, transitions)
     lazy = variant.agility is Agility.LAZY
     cops_win, seq, transitions = pykernels.solve_invisible(
-        d.succ_masks, d.n, k, lazy, monotone, state_budget
+        d.succ_masks, d.pred_masks, d.n, k, lazy, monotone, state_budget
     )
     if not cops_win:
         return Outcome(Winner.ROBBER, None, transitions)

@@ -156,18 +156,19 @@ def _build_parser():
     return parser
 
 
-def _load_graph(path) -> Digraph:
+def _read_text(path, error, name):
+    """The UTF-8 text of ``path``; a failure raises ``error``, and an
+    undecodable file is called ``name`` in its message."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise EdgeListParseError(f"cannot read {path}: {exc.strerror}") from None
+        raise error(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise EdgeListParseError(f"{path} is not UTF-8 text: {exc}") from None
-    return parse_edge_list(text)
+        raise error(f"{name} is not UTF-8 text: {exc}") from None
 
 
-def _variant(name) -> GameVariant:
-    return GameVariant.from_name(name)
+def _load_graph(path) -> Digraph:
+    return parse_edge_list(_read_text(path, EdgeListParseError, path))
 
 
 @contextlib.contextmanager
@@ -213,86 +214,72 @@ def _output(path):
         f.close()
 
 
+def _emit(args, d, doc, text):
+    """Print ``doc`` and the graph's fingerprint as one sorted JSON line
+    under ``--json``, else the text line."""
+    if args.json:
+        text = json.dumps({**doc, "graph_sha256": fingerprint(d)}, sort_keys=True)
+    _print(text)
+
+
 def _cmd_solve(args):
     d = _load_graph(args.graph)
-    variant = _variant(args.variant)
+    variant = GameVariant.from_name(args.variant)
     outcome = solve(d, args.cops, variant, args.monotone, args.state_budget)
-    if args.json:
-        doc = {
-            "winner": outcome.winner.value,
-            "variant": variant.name,
-            "k": args.cops,
-            "monotone": args.monotone,
-            "states_explored": outcome.states_explored,
-            "graph_sha256": fingerprint(d),
-        }
-        _print(json.dumps(doc, sort_keys=True))
-    else:
-        _print(outcome.winner.value.upper())
+    _emit(args, d, {
+        "winner": outcome.winner.value,
+        "variant": variant.name,
+        "k": args.cops,
+        "monotone": args.monotone,
+        "states_explored": outcome.states_explored,
+    }, outcome.winner.value.upper())
     return EXIT_OK
 
 
 def _cmd_copnum(args):
     d = _load_graph(args.graph)
-    variant = _variant(args.variant)
+    variant = GameVariant.from_name(args.variant)
     res = cop_number(d, variant, args.monotone, args.state_budget)
     if args.emit_cert:
         with _writing(args.emit_cert):
             Path(args.emit_cert).write_text(
                 res.outcome.certificate.to_json_text(), encoding="utf-8"
             )
-    if args.json:
-        doc = {
-            "cop_number": res.value,
-            "variant": variant.name,
-            "monotone": args.monotone,
-            "states_explored": res.outcome.states_explored,
-            "graph_sha256": fingerprint(d),
-        }
-        _print(json.dumps(doc, sort_keys=True))
-    else:
-        _print(res.value)
+    _emit(args, d, {
+        "cop_number": res.value,
+        "variant": variant.name,
+        "monotone": args.monotone,
+        "states_explored": res.outcome.states_explored,
+    }, res.value)
     return EXIT_OK
 
 
 def _cmd_gap(args):
     d = _load_graph(args.graph)
-    variant = _variant(args.variant)
+    variant = GameVariant.from_name(args.variant)
     res = gap(d, variant, args.state_budget)
-    if args.json:
-        doc = {
-            "variant": variant.name,
-            "cop_number": res.cop_number,
-            "monotone_cop_number": res.monotone_cop_number,
-            "gap": res.gap,
-            "ratio": res.ratio,
-            "graph_sha256": fingerprint(d),
-        }
-        _print(json.dumps(doc, sort_keys=True))
-    else:
-        _print(
-            f"cop_number={res.cop_number} monotone_cop_number={res.monotone_cop_number} "
-            f"gap={res.gap} ratio={res.ratio!r}"
-        )
+    _emit(args, d, {
+        "variant": variant.name,
+        "cop_number": res.cop_number,
+        "monotone_cop_number": res.monotone_cop_number,
+        "gap": res.gap,
+        "ratio": res.ratio,
+    }, f"cop_number={res.cop_number} monotone_cop_number={res.monotone_cop_number} "
+       f"gap={res.gap} ratio={res.ratio!r}")
     return EXIT_OK
 
 
 def _cmd_width(args):
     d = _load_graph(args.graph)
     report = width_by_name(args.measure)(d, args.state_budget)
-    if args.json:
-        doc = {
-            "measure": report.measure,
-            "value": report.value,
-            "variant": report.variant,
-            "monotone": report.monotone,
-            "offset": report.offset,
-            "cop_number": report.cop_number,
-            "graph_sha256": fingerprint(d),
-        }
-        _print(json.dumps(doc, sort_keys=True))
-    else:
-        _print(report.value)
+    _emit(args, d, {
+        "measure": report.measure,
+        "value": report.value,
+        "variant": report.variant,
+        "monotone": report.monotone,
+        "offset": report.offset,
+        "cop_number": report.cop_number,
+    }, report.value)
     return EXIT_OK
 
 
@@ -321,7 +308,7 @@ def _gapscan_source(args):
 def _cmd_gapscan(args):
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    variant = _variant(args.variant)
+    variant = GameVariant.from_name(args.variant)
     graphs = _gapscan_source(args)
     cert_dir = Path(args.cert_dir) if args.cert_dir else None
     if cert_dir is not None:
@@ -371,12 +358,7 @@ def _cmd_gapscan(args):
 
 def _cmd_certify(args):
     d = _load_graph(args.graph)
-    try:
-        text = Path(args.certificate).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CertificateError(f"cannot read {args.certificate}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise CertificateError(f"certificate is not UTF-8 text: {exc}") from None
+    text = _read_text(args.certificate, CertificateError, "certificate")
     cert = Certificate.from_json_text(text)
     result = verify_certificate(d, cert)
     if result.valid:
@@ -406,23 +388,12 @@ def _cmd_hard(args):
     for path in args.graphs:
         d = _load_graph(path)
         sol = solvers[args.problem](d)
-        if args.json:
-            if sol.witness is None:
-                witness = None
-            elif sol.problem in ("feedback_arc_set", "minimum_equivalent_subgraph"):
-                witness = [list(a) for a in sol.witness]
-            else:
-                witness = list(sol.witness)
-            doc = {
-                "problem": sol.problem,
-                "value": sol.value,
-                "witness": witness,
-                "optimal": sol.optimal,
-                "graph_sha256": fingerprint(d),
-            }
-            _print(json.dumps(doc, sort_keys=True))
-        else:
-            _print(_format_solution(sol))
+        _emit(args, d, {
+            "problem": sol.problem,
+            "value": sol.value,
+            "witness": sol.witness,
+            "optimal": sol.optimal,
+        }, _format_solution(sol))
     return EXIT_OK
 
 

@@ -1,11 +1,13 @@
-"""Pure-Python solver kernels.
+"""The solver kernels, in pure Python.
 
 These are the hot loops: the backward-induction attractor for the
 visible game, the breadth-first contamination search for the plain
 invisible games and the elimination search for the monotone ones.
-There is no compiled twin; the former kernels in ``tests/oracles.py``
-(``naive_solve_visible``, ``naive_solve_invisible``) are the references
-they are tested against.  Reachability is ``digraph.reach_mask``.
+``solver.solve`` calls ``solve_visible`` and ``solve_invisible``
+directly.  There is no compiled twin; the former kernels in
+``tests/oracles.py`` (``naive_solve_visible``, ``naive_solve_invisible``)
+are the references they are tested against.  Reachability is
+``digraph.reach_mask``.
 
 Kernel inputs are already lowered: successor/predecessor masks, a
 canonically ordered cop-move list that starts with the empty set
@@ -183,8 +185,23 @@ states and tries at most n steps from each.
 """
 from __future__ import annotations
 
-from ..digraph import reach_mask
-from ..errors import StateBudgetExceededError
+import sys
+
+from .digraph import reach_mask
+from .errors import StateBudgetExceededError
+
+
+def available_backends():
+    """``{"py": this module}``.  This function and ``default_backend_name``
+    only name the kernels: the benchmark harness (``perfbench/run.py``,
+    ``perfbench/tracing.py``) imports them to record which kernels ran
+    and to find the kernel functions it traces."""
+    return {"py": sys.modules[__name__]}
+
+
+def default_backend_name() -> str:
+    """``"py"``, the name ``available_backends`` gives this module."""
+    return "py"
 
 
 def _rows(cache, adj, n, guard):

@@ -22,6 +22,9 @@ from .solver import DEFAULT_STATE_BUDGET, Certificate, gap, solve, verify_certif
 
 ENUMERATION_MAX_N = 5
 
+# largest n random_digraph draws: its time and memory grow as n^2
+RANDOM_MAX_N = 512
+
 # graphs a parallel gap scan draws from its source per pool map: what it
 # holds at once, however long the source
 SCAN_WINDOW = 512
@@ -58,6 +61,8 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
     each from CPython's Mersenne Twister (random.Random(seed).random()),
     so identical (n, p, seed) give identical graphs on every platform.
     """
+    if n > RANDOM_MAX_N:
+        raise SizeLimitError(f"random digraphs handle n <= {RANDOM_MAX_N}, got {n}")
     if not 0 <= p <= 1:
         raise ValueError(f"arc probability {p} outside [0,1]")
     rng = random.Random(seed)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from . import __version__
+from . import __version__, engine
 from .arena import (
     Agility,
     Confinement,
@@ -30,7 +30,6 @@ from .arena import (
 )
 from .bits import iter_bits, mask_from, mask_to_tuple, subsets_of_size, subsets_upto
 from .digraph import Digraph, fingerprint, is_acyclic, reach_mask
-from .engine import pykernels
 from .errors import CertificateError, StateBudgetExceededError, UnsupportedVariantError
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -62,13 +61,9 @@ class Certificate:
     tool_version: str = __version__
 
     def to_json_text(self) -> str:
+        body = self.body
         if self.kind == "positional":
-            body = [
-                {"cops": list(c), "robber": r, "move": list(mv)}
-                for c, r, mv in self.body
-            ]
-        else:
-            body = [list(c) for c in self.body]
+            body = [{"cops": c, "robber": r, "move": mv} for c, r, mv in body]
         doc = {
             "format": CERTIFICATE_FORMAT,
             "tool_version": self.tool_version,
@@ -208,9 +203,9 @@ def solve(
             moves = subsets_upto(d.n, k)
         else:
             # plain play needs only the start and full-size cop sets
-            # (pykernels: "Full-size moves in plain visible play")
+            # (engine: "Full-size moves in plain visible play")
             moves = [0] + subsets_of_size(d.n, k)
-        cops_win, strategy, transitions = pykernels.solve_visible(
+        cops_win, strategy, transitions = engine.solve_visible(
             d.succ_masks, d.pred_masks, d.n, moves, monotone, strong, state_budget
         )
         if not cops_win:
@@ -218,7 +213,7 @@ def solve(
         cert = _positional_certificate(d, k, variant, monotone, strategy, strong)
         return Outcome(Winner.COPS, cert, transitions)
     lazy = variant.agility is Agility.LAZY
-    cops_win, seq, transitions = pykernels.solve_invisible(
+    cops_win, seq, transitions = engine.solve_invisible(
         d.succ_masks, d.pred_masks, d.n, k, lazy, monotone, state_budget
     )
     if not cops_win:

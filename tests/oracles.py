@@ -255,7 +255,7 @@ def _rows(cache, adj, n, guard):
 def naive_solve_visible(succ, pred, n, moves, monotone, strong, budget):
     """Vertex-level attractor over the visible fast-robber arena.
 
-    One position per (cop set, robber vertex).  ``pykernels.solve_visible``
+    One position per (cop set, robber vertex).  ``engine.solve_visible``
     solves the strong-component quotient instead and must return the
     same winner and strategy; its transition count, which counts the
     quotient, must be at most this one, and equal where every strong
@@ -382,7 +382,7 @@ def naive_solve_invisible(succ, n, moves, lazy, monotone, budget):
     """Breadth-first search over contamination states (C, R) from (0, V),
     trying every cop set of ``moves`` from every state.
 
-    ``pykernels.solve_invisible`` must agree on the verdict: in plain
+    ``engine.solve_invisible`` must agree on the verdict: in plain
     mode it tries one-vertex moves only, in monotone mode one-vertex
     eliminations.
 

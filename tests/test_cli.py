@@ -7,11 +7,11 @@ import tracemalloc
 
 import pytest
 
+from copwin import engine
 from copwin.arena import VISIBLE_FAST
 from copwin.bits import subsets_upto
 from copwin.cli import main
 from copwin.digraph import to_edge_list
-from copwin.engine import pykernels
 from copwin.lab import enumerate_digraphs, graph_id_of, random_digraph
 from oracles import naive_solve_visible
 
@@ -115,7 +115,7 @@ def test_solve_visible_budget_counts_quotient_work(capsys, tmp_path):
     moves = subsets_upto(d.n, 2)
     args = (d.succ_masks, d.pred_masks, d.n, moves, False, False)
     cops_win, _, vertex_level = naive_solve_visible(*args, 10**9)
-    budget = max(pykernels.solve_visible(*args, 10**9)[2], len(moves) ** 2 * d.n)
+    budget = max(engine.solve_visible(*args, 10**9)[2], len(moves) ** 2 * d.n)
     assert budget < vertex_level
     graph = tmp_path / "r4.edges"
     graph.write_text(to_edge_list(d))
@@ -419,6 +419,13 @@ def test_parse_error_exit_2(capsys, tmp_path):
         assert err == "parse error: " + message
 
 
+def test_gapscan_random_size_limit_exit_1(capsys):
+    # the first graph is drawn before the header, so nothing is written
+    code, out, err = run_cli(capsys, "gapscan", "--random", "1", "--n", "513")
+    assert (code, out) == (1, "")
+    assert err == "error: random digraphs handle n <= 512, got 513\n"
+
+
 def test_budget_exceeded_exit_3(capsys, c3_file):
     code, _, err = run_cli(capsys, "copnum", "--state-budget", "5", c3_file)
     assert code == 3
@@ -556,3 +563,69 @@ def test_cli_import_leaves_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# byte pin of the single-graph verbs
+# ---------------------------------------------------------------------------
+
+PIN_GRAPHS = {
+    "c3.edges": C3_TEXT,
+    "p3.edges": CHAIN_TEXT,
+    "r6.edges": to_edge_list(random_digraph(6, 0.4, 1)),
+}
+PIN_VERBS = [
+    ["solve", "--cops", "1"],
+    ["solve", "--variant", "inert", "--monotone", "--cops", "2"],
+    ["copnum"],
+    ["copnum", "--variant", "invisible-fast", "--monotone"],
+    ["gap"],
+    ["gap", "--variant", "inert"],
+    ["width", "--measure", "dagwidth"],
+    ["width", "--measure", "kellywidth"],
+    ["width", "--measure", "dpw"],
+    ["hard", "ham"],
+    ["hard", "fvs"],
+    ["hard", "fas"],
+    ["hard", "mes"],
+]
+
+
+def test_single_graph_verbs_byte_pin(capsys, tmp_path, monkeypatch):
+    # one SHA-256 over argv, exit code, stdout and stderr of every
+    # invocation (and the bytes of each certificate written), run in the
+    # graphs' directory so that messages name relative paths
+    monkeypatch.chdir(tmp_path)
+    for name, text in PIN_GRAPHS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "latin1.edges").write_bytes(b"n 2\n0 1 \xe9\n")
+    (tmp_path / "latin1.cert.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "folder").mkdir()
+    digest = hashlib.sha256()
+
+    def record(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(repr((argv, code, out, err)).encode())
+        return code
+
+    for graph in PIN_GRAPHS:
+        for verb in PIN_VERBS:
+            record(*verb, graph)
+            record(*verb, "--json", graph)
+        for variant, *flags in (("visible",), ("visible", "--monotone"),
+                                ("inert", "--monotone")):
+            cert = f"{graph}.{variant}{''.join(flags)}.cert.json"
+            assert record("copnum", "--variant", variant, *flags,
+                          "--emit-cert", cert, graph) == 0
+            assert record("certify", graph, cert) == 0
+            digest.update((tmp_path / cert).read_bytes())
+            doc = json.loads((tmp_path / cert).read_text())
+            doc["body"] = doc["body"][:-1]
+            (tmp_path / cert).write_text(json.dumps(doc))
+            assert record("certify", graph, cert) == 4
+    for missing in ("missing.edges", "folder", "latin1.edges"):
+        assert record("copnum", missing) == 2
+        assert record("certify", missing, "c3.edges.visible.cert.json") == 2
+    for missing in ("missing.cert.json", "folder", "latin1.cert.json"):
+        assert record("certify", "c3.edges", missing) == 4
+    assert digest.hexdigest() == "df1acf60e76bf24472da1462a99f847d52384bd1450f64ea04ee0d5bc659e65d"

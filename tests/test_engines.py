@@ -7,10 +7,10 @@ import random
 
 import pytest
 
+from copwin import engine
 from copwin.arena import VISIBLE_FAST, VISIBLE_FAST_SCC
 from copwin.bits import mask_to_tuple, subsets_upto
 from copwin.digraph import Digraph, fingerprint
-from copwin.engine import pykernels
 from copwin.errors import StateBudgetExceededError
 from copwin.solver import Certificate, solve, verify_certificate
 from oracles import enumerate_arc_lists, naive_solve_invisible, naive_solve_visible
@@ -93,7 +93,7 @@ def _visible_digest(budgets, keep=lambda mono, strong: True):
         if not keep(*args[4:]):
             continue
         for budget in budgets:
-            entry = _golden_entry(lambda: pykernels.solve_visible(*args, budget))
+            entry = _golden_entry(lambda: engine.solve_visible(*args, budget))
             h.update(repr(entry).encode())
     return h.hexdigest()
 
@@ -114,7 +114,7 @@ def test_visible_golden_digest_but_monotone_reach(budgets):
 def test_visible_strategy_digest():
     h = hashlib.sha256()
     for args in _visible_stream():
-        cops_win, strategy, _ = pykernels.solve_visible(*args, 10**7)
+        cops_win, strategy, _ = engine.solve_visible(*args, 10**7)
         h.update(repr((cops_win, strategy and sorted(strategy.items()))).encode())
     assert h.hexdigest() == GOLDEN_VISIBLE_STRATEGY
 
@@ -127,7 +127,7 @@ def _invisible_digest(budgets, mono):
         k = rng.randint(0, n)
         for lazy in (False, True):
             for budget in budgets:
-                entry = _golden_entry(lambda: pykernels.solve_invisible(
+                entry = _golden_entry(lambda: engine.solve_invisible(
                     succ, pred, n, k, lazy, mono, budget))
                 h.update(repr(entry).encode())
     return h.hexdigest()
@@ -187,7 +187,7 @@ def test_visible_quotient_matches_vertex_level_oracle():
                 args = (succ, pred, n, moves, mono, strong)
                 where = (trial, shape, mono, strong)
                 win, strategy, vertex_level = naive_solve_visible(*args, 10**9)
-                got = pykernels.solve_visible(*args, 10**9)
+                got = engine.solve_visible(*args, 10**9)
                 count = got[2]
                 assert got[:2] == (win, strategy), where
                 if shape == "acyclic" and (strong or not mono):
@@ -195,10 +195,10 @@ def test_visible_quotient_matches_vertex_level_oracle():
                 else:
                     assert count <= vertex_level, where
                 for budget in (count, 2 * count):
-                    assert pykernels.solve_visible(*args, budget) == got, where
+                    assert engine.solve_visible(*args, budget) == got, where
                 for budget in (1, count // 3, count - 1):
                     with pytest.raises(StateBudgetExceededError) as err:
-                        pykernels.solve_visible(*args, budget)
+                        engine.solve_visible(*args, budget)
                     assert err.value.budget == budget, where
                     assert err.value.explored > budget, where
 
@@ -209,7 +209,7 @@ def test_visible_quotient_matches_vertex_level_oracle():
 # n <= 6 golden streams pin where a solve gives up only on small graphs;
 # this pins it where territories span many classes and many monotone
 # moves are vetoed.  Re-recorded when the moves the boundary rule of the
-# ``pykernels`` docstring vetoes stopped counting; winners and
+# ``engine`` docstring vetoes stopped counting; winners and
 # strategies are those of the kernel that walked each move's responses.
 GOLDEN_VISIBLE_MONOTONE_DENSE = "8bdfeee99e9f61abe04a5458dd6d49800875a8505a9b629f8fbb63abef1472ce"
 
@@ -218,11 +218,11 @@ def test_visible_monotone_dense_count_digest():
     h = hashlib.sha256()
     for _, _, succ, pred, n, moves in _dense_cases():
         args = (succ, pred, n, moves, True, False)
-        got = _golden_entry(lambda: pykernels.solve_visible(*args, 10**9))
+        got = _golden_entry(lambda: engine.solve_visible(*args, 10**9))
         h.update(repr(got).encode())
         count = got[2]
         for budget in sorted({1 + (count - 1) * i // 19 for i in range(20)}):
-            entry = _golden_entry(lambda: pykernels.solve_visible(*args, budget))
+            entry = _golden_entry(lambda: engine.solve_visible(*args, budget))
             h.update(repr((budget, entry)).encode())
     assert h.hexdigest() == GOLDEN_VISIBLE_MONOTONE_DENSE
 
@@ -238,7 +238,7 @@ def _check_invisible(n, arcs, ks):
         for lazy in (True, False):
             for mono in (False, True):
                 where = (arcs, k, lazy, mono)
-                win, seq, _ = pykernels.solve_invisible(succ, pred, n, k, lazy, mono, 10**8)
+                win, seq, _ = engine.solve_invisible(succ, pred, n, k, lazy, mono, 10**8)
                 assert win == naive_solve_invisible(succ, n, moves, lazy, mono, 10**8)[0], where
                 if win:
                     cert = Certificate(
@@ -279,7 +279,7 @@ def _check_full_size_moves(n, arcs, ks):
             strong = variant is VISIBLE_FAST_SCC
             where = (n, arcs, k, variant.name)
             got = solve(d, k, variant)
-            want = pykernels.solve_visible(
+            want = engine.solve_visible(
                 d.succ_masks, d.pred_masks, n, every_move, False, strong, 10**8)
             assert got.cops_win == want[0], where
             if got.cops_win:

@@ -54,6 +54,17 @@ def test_random_digraph_extremes():
     assert random_digraph(5, 1.0, 1).m == 20
 
 
+def test_random_digraph_size_limit(monkeypatch):
+    assert random_digraph(lab.RANDOM_MAX_N, 0.0, 1).n == lab.RANDOM_MAX_N
+
+    def no_draw(seed):
+        raise AssertionError("drew before checking n")
+
+    monkeypatch.setattr(lab.random, "Random", no_draw)
+    with pytest.raises(SizeLimitError, match=f"n <= {lab.RANDOM_MAX_N}, got 513"):
+        random_digraph(lab.RANDOM_MAX_N + 1, 0.3, 1)
+
+
 def test_random_digraph_deterministic():
     a = random_digraph(5, 0.3, 42)
     b = random_digraph(5, 0.3, 42)

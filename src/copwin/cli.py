@@ -29,6 +29,7 @@ from .lab import (
     GAP_FIELDS,
     enumerate_digraphs,
     gap_scan,
+    graph_id_of,
     random_digraph,
 )
 from .hardproblems import (
@@ -372,7 +373,7 @@ def _cmd_certify(args):
 def _cmd_hard(args):
     if args.problem == "report":
         graphs = [_load_graph(p) for p in args.graphs]
-        instances = [(fingerprint(d)[:12], d) for d in graphs]
+        instances = [(graph_id_of(d), d) for d in graphs]
         rows = width_annotated_report(instances, args.state_budget)
         if args.format == "csv":
             _print(rows_to_csv(REPORT_FIELDS, rows), end="")

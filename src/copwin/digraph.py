@@ -221,59 +221,62 @@ def reach(d: Digraph, sources: Iterable[int], forbidden: Iterable[int] = ()) -> 
     return frozenset(iter_bits(reach_mask(d.succ_masks, src, forb)))
 
 
-def scc(d: Digraph) -> Tuple[FrozenSet[int], ...]:
-    """Strongly connected components, in reverse topological order (Tarjan)."""
-    n = d.n
-    succ = d.succ_masks
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack = []
+def component_masks(rows, active: int):
+    """The strong components of D[active], as vertex masks, by lowest vertex.
+
+    ``rows[v]``, for every v in ``active``, is the set of vertices v
+    reaches inside D[active], v included (``reach_mask(succ, 1 << v,
+    ~active)``, say).  u and v share a component iff each is in the
+    other's row.
+    """
     comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter_bits(succ[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter_bits(succ[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-    return tuple(comps)
+    while active:
+        r = (active & -active).bit_length() - 1
+        comp = 0
+        f = rows[r]
+        while f:
+            low = f & -f
+            if rows[low.bit_length() - 1] >> r & 1:
+                comp |= low
+            f ^= low
+        comps.append(comp)
+        active &= ~comp
+    return comps
+
+
+def acyclic_mask(pred, active: int) -> bool:
+    """Whether D[active] is acyclic (Kahn: drop vertices with no in-arc from the rest)."""
+    changed = True
+    while active and changed:
+        changed = False
+        f = active
+        while f:
+            low = f & -f
+            f ^= low
+            if pred[low.bit_length() - 1] & active == 0:
+                active ^= low
+                changed = True
+    return active == 0
+
+
+def scc(d: Digraph) -> Tuple[FrozenSet[int], ...]:
+    """Strongly connected components, in reverse topological order.
+
+    No component reaches a later one.  The components are
+    ``component_masks`` of the closure rows, ordered by how many
+    vertices they reach, then by lowest vertex.  A component A that
+    reaches another, B, reaches all that B reaches and A itself, which B
+    does not reach, so A reaches strictly more and comes after B.
+    """
+    rows = closure_masks(d)
+    comps = component_masks(rows, d.full_mask)  # by lowest vertex; the sort is stable
+    comps.sort(key=lambda c: rows[(c & -c).bit_length() - 1].bit_count())
+    return tuple(frozenset(iter_bits(c)) for c in comps)
 
 
 def is_acyclic(d: Digraph) -> bool:
-    """True iff every strongly connected component is a singleton."""
-    return all(len(c) == 1 for c in scc(d))
+    """True iff D has no cycle."""
+    return acyclic_mask(d.pred_masks, d.full_mask)
 
 
 def induced_subgraph(d: Digraph, x: Iterable[int]) -> Tuple[Digraph, Dict[int, int]]:
@@ -312,10 +315,7 @@ def bidirect(n: int, edges: Iterable[Tuple[int, int]]) -> Digraph:
 
 def transitive_closure(d: Digraph) -> Tuple[FrozenSet[int], ...]:
     """Row u = {v : u = v or u has a path to v}; reflexive by convention."""
-    return tuple(
-        frozenset(iter_bits(reach_mask(d.succ_masks, 1 << u, 0)))
-        for u in range(d.n)
-    )
+    return tuple(frozenset(iter_bits(row)) for row in closure_masks(d))
 
 
 def closure_masks(d: Digraph) -> Tuple[int, ...]:

@@ -7,39 +7,47 @@ invisible games and the elimination search for the monotone ones.
 directly.  There is no compiled twin; the former kernels in
 ``tests/oracles.py`` (``naive_solve_visible``, ``naive_solve_invisible``)
 are the references they are tested against.  Reachability is
-``digraph.reach_mask``.
+``digraph.reach_mask`` and strong components ``digraph.component_masks``.
 
-Kernel inputs are already lowered: successor/predecessor masks, a
-canonically ordered cop-move list that starts with the empty set
-(visible) or the cop count k (invisible), plain ints everywhere.
+Kernel inputs are already lowered: successor masks (the invisible
+kernel also takes predecessor masks), a canonically ordered cop-move
+list that starts with the empty set (visible) or the cop count k
+(invisible), plain ints everywhere.  The visible kernel derives all it
+needs, strong components and territory boundaries included, from
+successor masks alone.
 
 Memoised robber runs.  Between two cop sets C and C' the robber runs
 in D - (C & C'), and the guard C & C' is itself a set of at most k
 vertices.  So a solve needs reachability avoiding at most g distinct
 guards, g the number of such sets.  The visible kernel keeps, per
-guard, the row ``reach_mask(adj, 1 << v, guard)`` for every vertex v
-(0 for v in the guard), built when it first expands a cop set with that
-guard: all rows together cost at most g*n BFS calls and g*n ints per
-solve, instead of one BFS per transition, and any reachable set is the
-OR of the rows of its sources.  A monotone solve without strong
-confinement builds only the rows of the cop sets themselves (see the
-boundary rule below).  In the plain invisible search every
-robber run starts at a single vertex v (see the one-vertex moves
-below), so that kernel memoises each run ``reach_mask(succ, 1 << v,
-guard)`` on its first use, under the key guard * n + v.  Either way
-every result is unchanged.
+guard, the reach row ``reach_mask(succ, 1 << v, guard)`` for every
+vertex v (0 for v in the guard), built when it first expands a cop set
+with that guard: all rows together cost at most g*n BFS calls and g*n
+ints per solve, instead of one BFS per transition, and any reachable
+set is the OR of the rows of its sources.  From a guard's reach rows it
+builds, once, the guard's component rows: for every vertex v, the mask
+of v's strong component of D - guard (0 for v in the guard), which is
+the part of v's row whose own rows hold v.  Under strong confinement a
+robber at r answering C -> C' lands in the component row of C & C' at
+r, minus C'; no backward reachability is needed.  A monotone solve
+without strong confinement builds only the rows of the cop sets
+themselves (see the boundary rule below).  In the plain invisible
+search every robber run starts at a single vertex v (see the
+one-vertex moves below), so that kernel memoises each run
+``reach_mask(succ, 1 << v, guard)`` on its first use, under the key
+guard * n + v.  Either way every result is unchanged.
 
 Strong-component quotient of the visible arena.  The visible kernel
 solves one position per (cop set C, strong component of D - C), not one
-per (C, robber vertex); a component is a *class*, read off the row of
-the guard C (u and v share a class iff each reaches the other), and is
-represented by its lowest vertex.  This is exact: two vertices of one
-class reach each other while avoiding C, hence while avoiding every
-guard C & C', so they have the same robber options, the same
-strong-confinement options and the same monotone territory for every
-cop move.  Every robber response is a union of classes of D - C', so
-each is linked once per class, and all members of a class win in the
-same round with the same smallest-index move.  Expanding a class's move
+per (C, robber vertex); a component is a *class*, read off the
+component rows of the guard C, and is represented by its lowest
+vertex.  This is exact: two vertices of one class reach each other
+while avoiding C, hence while avoiding every guard C & C', so they
+have the same robber options, the same strong-confinement options and
+the same monotone territory for every cop move.  Every robber response
+is a union of classes of D - C', so each is linked once per class, and
+all members of a class win in the same round with the same
+smallest-index move.  Expanding a class's move
 to its members gives the strategy map the vertex-level attractor gives.
 ``transitions`` and the budget count this quotient arena: 1 per cop
 move tried from a class, plus 1 per robber-response class the move
@@ -51,15 +59,17 @@ confinement counts only the moves it tries.
 
 Monotone moves keep the boundary.  Take a class of D - C with territory
 T (the vertices it reaches avoiding C) and let B be the cops of C with
-an arc from T.  With reachability confinement, a monotone move C -> C'
-is vetoed iff C' does not contain B, and when it is not vetoed the
-robber's options are exactly T - C'.  Let opts = reach(r avoiding
-C & C') - C'.  Anything a vertex of opts reaches avoiding C' is again
-in opts, so the territories of the responses together are opts, and
-the move is vetoed iff opts is not a subset of T.  A cop v of B that
-C' lifts is reached from T avoiding C & C' and is not in T, so v is in
-opts - T.  If C' keeps every cop of B, every arc out of T ends on a
-cop of C & C', so the robber stays in T and opts = T - C'.  So a
+an arc from T, ``_boundary(succ, T, C)``; T is closed under arcs that
+avoid C, so B is all of N+(T) - T, the boundary of T.  With
+reachability confinement, a monotone move C -> C' is vetoed iff C'
+does not contain B, and when it is not vetoed the robber's options are
+exactly T - C'.  Let opts = reach(r avoiding C & C') - C'.  Anything
+a vertex of opts reaches avoiding C' is again in opts, so the
+territories of the responses together are opts, and the move is
+vetoed iff opts is not a subset of T.  A cop v of B that C' lifts is
+reached from T avoiding C & C' and is not in T, so v is in opts - T.
+If C' keeps every cop of B, every arc out of T ends on a cop of
+C & C', so the robber stays in T and opts = T - C'.  So a
 monotone solve without strong confinement computes B once per class
 and tries only the moves that contain it (an index of the moves by B
 is built once per solve), with capture iff T is a subset of C'.  Under
@@ -187,7 +197,7 @@ from __future__ import annotations
 
 import sys
 
-from .digraph import reach_mask
+from .digraph import component_masks, reach_mask
 from .errors import StateBudgetExceededError
 
 
@@ -204,15 +214,30 @@ def default_backend_name() -> str:
     return "py"
 
 
-def _rows(cache, adj, n, guard):
-    """``reach_mask(adj, 1 << v, guard)`` for every v < n, built once per guard."""
+def _rows(cache, succ, n, guard):
+    """``reach_mask(succ, 1 << v, guard)`` for every v < n, built once per guard."""
     row = cache.get(guard)
     if row is None:
-        row = cache[guard] = [reach_mask(adj, 1 << v, guard) for v in range(n)]
+        row = cache[guard] = [reach_mask(succ, 1 << v, guard) for v in range(n)]
     return row
 
 
-def solve_visible(succ, pred, n, moves, monotone, strong, budget):
+def _comp_rows(cache, fwd_rows, succ, n, guard):
+    """For every v < n, the mask of v's strong component of D - guard (0
+    for v in the guard), from the guard's reach rows, built once per guard."""
+    row = cache.get(guard)
+    if row is None:
+        row = cache[guard] = [0] * n
+        for comp in component_masks(_rows(fwd_rows, succ, n, guard), ((1 << n) - 1) & ~guard):
+            f = comp
+            while f:
+                low = f & -f
+                row[low.bit_length() - 1] = comp
+                f ^= low
+    return row
+
+
+def solve_visible(succ, n, moves, monotone, strong, budget):
     """Attractor over the bipartite arena of the visible fast-robber game.
 
     Positions are (cop set, robber vertex) with the cops to move; the
@@ -230,9 +255,9 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
 
     full = (1 << n) - 1
     fwd_rows = {}
-    bwd_rows = {}
-    # classes of D - C for every cop set C, from the row of the guard C
-    # (the robber's territory, also the monotone "space" table)
+    comp_rows = {}
+    # classes of D - C for every cop set C, from the rows of the guard C
+    # (the reach rows are the robber's territory, the monotone "space" table)
     space = [None] * m
     cls_id = [None] * m    # per cop set: vertex -> class id
     cls_mask = [None] * m  # per cop set: vertex -> its class's vertex mask
@@ -242,31 +267,21 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
         first[ci] = len(reps)
         if cmask == full:  # no robber spot left
             continue
-        row = space[ci] = _rows(fwd_rows, succ, n, cmask)
-        ids = [-1] * n
-        masks = [0] * n
+        space[ci] = _rows(fwd_rows, succ, n, cmask)
+        masks = cls_mask[ci] = _comp_rows(comp_rows, fwd_rows, succ, n, cmask)
+        ids = cls_id[ci] = [-1] * n
         left = full & ~cmask
         while left:
             r = (left & -left).bit_length() - 1
-            cls = 0
-            f = row[r]
-            while f:
-                low = f & -f
-                if row[low.bit_length() - 1] >> r & 1:
-                    cls |= low
-                f ^= low
+            cls = masks[r]
             q = len(reps)
             reps.append(r)
             f = cls
             while f:
                 low = f & -f
-                u = low.bit_length() - 1
-                ids[u] = q
-                masks[u] = cls
+                ids[low.bit_length() - 1] = q
                 f ^= low
             left &= ~cls
-        cls_id[ci] = ids
-        cls_mask[ci] = masks
     first[m] = num_cls = len(reps)
 
     transitions = 0
@@ -287,29 +302,23 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
         s_row = space[ci]
         if boundary:
             # every move tried leaves the robber its territory minus C'
-            fwd = [s_row] * m
-            cops = []  # (cop bit, its in-neighbours)
-            f = cmask
-            while f:
-                low = f & -f
-                cops.append((low, pred[low.bit_length() - 1]))
-                f ^= low
-        else:
+            opt_rows = [s_row] * m
+        elif strong:
             # rows of the guards C & C' for every C', shared by all classes
-            # (a row is a non-empty list, since m > 1 implies n > 0)
-            fwd = [fwd_rows.get(cmask & cj) or _rows(fwd_rows, succ, n, cmask & cj)
-                   for cj in moves]
-            bwd = [bwd_rows.get(cmask & cj) or _rows(bwd_rows, pred, n, cmask & cj)
-                   for cj in moves] if strong else None
+            # (a row is a non-empty list, since m > 1 implies n > 0): the
+            # robber's strong component ...
+            opt_rows = [comp_rows.get(cmask & cj)
+                        or _comp_rows(comp_rows, fwd_rows, succ, n, cmask & cj) for cj in moves]
+        else:
+            # ... or, with reachability confinement, all it reaches
+            opt_rows = [fwd_rows.get(cmask & cj) or _rows(fwd_rows, succ, n, cmask & cj)
+                        for cj in moves]
         for q in range(first[ci], first[ci + 1]):
             r = reps[q]
             s_old = s_row[r]
             if boundary:
                 # only the moves that keep B, the cops with an arc from the territory
-                b = 0
-                for low, into in cops:
-                    if into & s_old:
-                        b |= low
+                b = _boundary(succ, s_old, cmask)
                 cands = guarded.get(b)
                 if cands is None:
                     cands = guarded[b] = [j for j, cj in enumerate(moves) if cj & b == b]
@@ -320,10 +329,7 @@ def solve_visible(succ, pred, n, moves, monotone, strong, budget):
                 transitions += 1
                 if transitions > budget:
                     raise StateBudgetExceededError(budget, transitions)
-                opts = fwd[j][r]
-                if strong:
-                    opts &= bwd[j][r]
-                opts &= ~cj
+                opts = opt_rows[j][r] & ~cj
                 if opts == 0:
                     # capture: rank-1 win, no later move can beat it
                     win_round[q] = 1

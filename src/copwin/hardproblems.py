@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from .bits import iter_bits
-from .digraph import Digraph, closure_masks, induced_subgraph, is_acyclic, reach_mask, scc
+from .digraph import (
+    Digraph,
+    acyclic_mask,
+    closure_masks,
+    component_masks,
+    induced_subgraph,
+    is_acyclic,
+    reach_mask,
+    scc,
+)
 from .errors import SizeLimitError, StateBudgetExceededError
 from .solver import DEFAULT_STATE_BUDGET
 from .width import dag_width, kelly_width
@@ -34,22 +43,6 @@ class ProblemSolution:
     witness: Optional[tuple]
     value: int
     optimal: bool = True
-
-
-def _acyclic_masks(succ, pred, active):
-    """Kahn-style elimination restricted to the vertices in ``active``."""
-    remaining = active
-    changed = True
-    while remaining and changed:
-        changed = False
-        f = remaining
-        while f:
-            low = f & -f
-            f ^= low
-            if pred[low.bit_length() - 1] & remaining == 0:
-                remaining ^= low
-                changed = True
-    return remaining == 0
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +181,14 @@ def min_feedback_vertex_set(d: Digraph) -> ProblemSolution:
     n = d.n
     if n > FVS_MAX_N:
         raise SizeLimitError(f"min_feedback_vertex_set handles n <= {FVS_MAX_N}, got {n}")
-    succ, pred = d.succ_masks, d.pred_masks
+    pred = d.pred_masks
     full = d.full_mask
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
             drop = 0
             for v in combo:
                 drop |= 1 << v
-            if _acyclic_masks(succ, pred, full & ~drop):
+            if acyclic_mask(pred, full & ~drop):
                 return ProblemSolution("feedback_vertex_set", tuple(combo), size)
     raise AssertionError("unreachable: deleting all vertices is acyclic")
 
@@ -249,14 +242,11 @@ def _backward_arc_number(succ, pred, kept, limit):
     ordering, so each cyclic component is ordered on its own.  Without
     a limit, a component's bound is raised from 0 until its DP succeeds.
     """
+    n = len(succ)
+    rows = [reach_mask(succ, 1 << v, 0) for v in range(n)]
     total = 0
-    seen = 0
-    for v in range(len(succ)):
-        if seen >> v & 1 or not (succ[v] and pred[v]):
-            continue
-        comp = reach_mask(succ, 1 << v, 0) & reach_mask(pred, 1 << v, 0)
-        seen |= comp
-        if comp == 1 << v:
+    for comp in component_masks(rows, (1 << n) - 1):
+        if comp & (comp - 1) == 0:  # one vertex: no arc inside
             continue
         bound = 0 if limit is None else limit - total
         cost = _ordering_dp(comp, pred, kept, bound)

@@ -206,7 +206,7 @@ def solve(
             # (engine: "Full-size moves in plain visible play")
             moves = [0] + subsets_of_size(d.n, k)
         cops_win, strategy, transitions = engine.solve_visible(
-            d.succ_masks, d.pred_masks, d.n, moves, monotone, strong, state_budget
+            d.succ_masks, d.n, moves, monotone, strong, state_budget
         )
         if not cops_win:
             return Outcome(Winner.ROBBER, None, transitions)

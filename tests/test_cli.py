@@ -113,9 +113,10 @@ def test_solve_visible_budget_counts_quotient_work(capsys, tmp_path):
     # quotient solve answers within it
     d = random_digraph(4, 0.5, 1)
     moves = subsets_upto(d.n, 2)
-    args = (d.succ_masks, d.pred_masks, d.n, moves, False, False)
-    cops_win, _, vertex_level = naive_solve_visible(*args, 10**9)
-    budget = max(engine.solve_visible(*args, 10**9)[2], len(moves) ** 2 * d.n)
+    cops_win, _, vertex_level = naive_solve_visible(
+        d.succ_masks, d.pred_masks, d.n, moves, False, False, 10**9)
+    count = engine.solve_visible(d.succ_masks, d.n, moves, False, False, 10**9)[2]
+    budget = max(count, len(moves) ** 2 * d.n)
     assert budget < vertex_level
     graph = tmp_path / "r4.edges"
     graph.write_text(to_edge_list(d))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 from copwin.digraph import (
     MAX_VERTICES,
     Digraph,
+    acyclic_mask,
     bidirect,
+    component_masks,
     delete_arcs,
     fingerprint,
     induced_subgraph,
@@ -17,6 +21,8 @@ from copwin.digraph import (
     transitive_closure,
 )
 from copwin.errors import EdgeListParseError
+from copwin.lab import random_digraph
+from oracles import enumerate_arc_lists, set_reach
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 CHAIN = Digraph(3, [(0, 1), (1, 2)])
@@ -230,6 +236,72 @@ def test_is_acyclic_examples():
     assert is_acyclic(CHAIN)
     assert not is_acyclic(C3)
     assert is_acyclic(Digraph(0))
+
+
+def _set_components(d, active):
+    """D[active]'s reach rows and strong components (masks, by lowest
+    vertex) and whether it has a cycle, from set_reach alone."""
+    forbidden = {v for v in range(d.n) if not active >> v & 1}
+    reached = {v: set_reach(d.arcs, {v}, forbidden) for v in range(d.n) if v not in forbidden}
+    rows = [sum(1 << u for u in reached.get(v, ())) for v in range(d.n)]
+    comps = []
+    left = set(reached)
+    while left:
+        v = min(left)
+        comp = {u for u in reached[v] if v in reached[u]}
+        comps.append(sum(1 << u for u in comp))
+        left -= comp
+    cyclic = any(u in reached.get(v, ()) for u, v in d.arcs if u in reached)
+    return rows, comps, cyclic
+
+
+def _check_components_and_acyclicity(d, actives):
+    for active in actives:
+        rows, comps, cyclic = _set_components(d, active)
+        assert component_masks(rows, active) == comps, (d.arcs, active)
+        assert acyclic_mask(d.pred_masks, active) == (not cyclic), (d.arcs, active)
+
+
+def test_component_and_acyclic_masks_census():
+    # every labeled digraph with n <= 4 under every vertex subset, as the
+    # visible kernel passes V - C for every cop set C
+    for n in range(5):
+        for arcs in enumerate_arc_lists(n):
+            _check_components_and_acyclicity(Digraph(n, arcs), range(1 << n))
+
+
+def test_component_and_acyclic_masks_random():
+    rng = random.Random(8)
+    for trial in range(60):
+        n = rng.randint(5, 9)
+        d = random_digraph(n, rng.choice([0.15, 0.25, 0.4]), trial)
+        actives = [d.full_mask] + [rng.getrandbits(n) for _ in range(6)]
+        _check_components_and_acyclicity(d, actives)
+
+
+def _check_scc_order(d):
+    comps = scc(d)
+    _, want, _ = _set_components(d, d.full_mask)
+    assert sorted(comps, key=min) == [frozenset(b for b in range(d.n) if c >> b & 1) for c in want]
+    for i, comp in enumerate(comps):
+        later = set().union(*comps[i + 1:])
+        assert not set_reach(d.arcs, comp, ()) & later, (d.arcs, comps)
+
+
+def test_scc_reverse_topological_order_census():
+    for n in range(5):
+        for arcs in enumerate_arc_lists(n):
+            _check_scc_order(Digraph(n, arcs))
+
+
+def test_scc_reverse_topological_order_random():
+    rng = random.Random(9)
+    for trial in range(60):
+        n = rng.randint(5, 9)
+        _check_scc_order(random_digraph(n, rng.choice([0.1, 0.2, 0.3]), trial))
+    # a 2-cycle feeding another: the sink comes first, though its vertices are higher
+    assert scc(Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])) == (
+        frozenset({2, 3}), frozenset({0, 1}))
 
 
 # ---------------------------------------------------------------------------

@@ -79,18 +79,18 @@ def _visible_stream():
     """Kernel arguments but the budget: 150 random instances, every flag combination."""
     rng = random.Random(1)
     for trial in range(150):
-        n, succ, pred = _random_instance(rng)
+        n, succ, _ = _random_instance(rng)
         k = rng.randint(0, n)
         moves = subsets_upto(n, k)
         for mono in (False, True):
             for strong in (False, True):
-                yield succ, pred, n, moves, mono, strong
+                yield succ, n, moves, mono, strong
 
 
 def _visible_digest(budgets, keep=lambda mono, strong: True):
     h = hashlib.sha256()
     for args in _visible_stream():
-        if not keep(*args[4:]):
+        if not keep(*args[3:]):
             continue
         for budget in budgets:
             entry = _golden_entry(lambda: engine.solve_visible(*args, budget))
@@ -184,9 +184,10 @@ def test_visible_quotient_matches_vertex_level_oracle():
     for trial, shape, succ, pred, n, moves in _dense_cases():
         for mono in (False, True):
             for strong in (False, True):
-                args = (succ, pred, n, moves, mono, strong)
+                args = (succ, n, moves, mono, strong)
                 where = (trial, shape, mono, strong)
-                win, strategy, vertex_level = naive_solve_visible(*args, 10**9)
+                win, strategy, vertex_level = naive_solve_visible(
+                    succ, pred, n, moves, mono, strong, 10**9)
                 got = engine.solve_visible(*args, 10**9)
                 count = got[2]
                 assert got[:2] == (win, strategy), where
@@ -216,8 +217,8 @@ GOLDEN_VISIBLE_MONOTONE_DENSE = "8bdfeee99e9f61abe04a5458dd6d49800875a8505a9b629
 
 def test_visible_monotone_dense_count_digest():
     h = hashlib.sha256()
-    for _, _, succ, pred, n, moves in _dense_cases():
-        args = (succ, pred, n, moves, True, False)
+    for _, _, succ, _, n, moves in _dense_cases():
+        args = (succ, n, moves, True, False)
         got = _golden_entry(lambda: engine.solve_visible(*args, 10**9))
         h.update(repr(got).encode())
         count = got[2]
@@ -280,7 +281,7 @@ def _check_full_size_moves(n, arcs, ks):
             where = (n, arcs, k, variant.name)
             got = solve(d, k, variant)
             want = engine.solve_visible(
-                d.succ_masks, d.pred_masks, n, every_move, False, strong, 10**8)
+                d.succ_masks, n, every_move, False, strong, 10**8)
             assert got.cops_win == want[0], where
             if got.cops_win:
                 assert verify_certificate(d, got.certificate).valid, where

@@ -23,18 +23,16 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[Tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        # cheap checks first; on a fault, _check_arcs raises for the first
+        # faulty arc in the given order (a repeat may come before this one)
         arc_list = []
-        seen = set()
-        for arc in arcs:
-            u, v = arc
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop ({u},{u}) not allowed in a simple digraph")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate arc ({u},{v})")
-            seen.add((u, v))
+        for u, v in arcs:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                _check_arcs(n, arc_list + [(u, v)])
             arc_list.append((u, v))
+        arc_set = frozenset(arc_list)
+        if len(arc_set) != len(arc_list):
+            _check_arcs(n, arc_list)
         arc_list.sort()
         succ = [0] * n
         pred = [0] * n
@@ -43,7 +41,7 @@ class Digraph:
             pred[v] |= 1 << u
         self._n = n
         self._arcs = tuple(arc_list)
-        self._arc_set = frozenset(arc_list)
+        self._arc_set = arc_set
         self._succ = tuple(succ)
         self._pred = tuple(pred)
         self._hash = hash((n, self._arcs))
@@ -103,6 +101,20 @@ class Digraph:
         return f"Digraph(n={self._n}, m={len(self._arcs)})"
 
 
+def _check_arcs(n, arcs):
+    """Raise ValueError for the first arc, in the given order, that is out
+    of range, a self-loop or a repeat."""
+    seen = set()
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop ({u},{u}) not allowed in a simple digraph")
+        if (u, v) in seen:
+            raise ValueError(f"duplicate arc ({u},{v})")
+        seen.add((u, v))
+
+
 # ---------------------------------------------------------------------------
 # Edge-list v1 format
 # ---------------------------------------------------------------------------
@@ -123,20 +135,17 @@ def parse_edge_list(text: str) -> Digraph:
     vertices are hard errors.
     """
     declared_n = None
-    arcs = []
-    seen = set()
-    max_id = -1
-    saw_arc = False
+    limit = MAX_VERTICES  # ids must stay below it: the declared count, once read
+    arcs = {}  # arc -> line number, in file order
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if parts[0] == "n":
-            if saw_arc or declared_n is not None:
+            if arcs or declared_n is not None:
                 raise EdgeListParseError("header 'n <count>' must be the first data line", line_no)
             if len(parts) != 2:
-                raise EdgeListParseError(f"malformed header {line!r}", line_no)
+                raise EdgeListParseError(f"malformed header {raw.strip()!r}", line_no)
             try:
                 declared_n = int(parts[1])
             except ValueError:
@@ -147,33 +156,33 @@ def parse_edge_list(text: str) -> Digraph:
                 raise EdgeListParseError(
                     f"vertex count {declared_n} exceeds the limit of {MAX_VERTICES}", line_no
                 )
+            limit = declared_n
             continue
         if len(parts) != 2:
-            raise EdgeListParseError(f"malformed arc line {line!r}", line_no)
+            raise EdgeListParseError(f"malformed arc line {raw.strip()!r}", line_no)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EdgeListParseError(f"malformed arc line {line!r}", line_no) from None
-        saw_arc = True
-        if u < 0 or v < 0:
-            raise EdgeListParseError(f"negative vertex id in {line!r}", line_no)
-        if u == v:
-            raise EdgeListParseError(f"self-loop ({u},{v}) forbidden (digraphs are simple)", line_no)
-        if declared_n is not None and (u >= declared_n or v >= declared_n):
-            raise EdgeListParseError(
-                f"vertex id in ({u},{v}) exceeds declared count {declared_n}", line_no
-            )
-        if u >= MAX_VERTICES or v >= MAX_VERTICES:
-            raise EdgeListParseError(
-                f"vertex id in ({u},{v}) exceeds the limit of {MAX_VERTICES} vertices", line_no
-            )
-        if (u, v) in seen:
+            raise EdgeListParseError(f"malformed arc line {raw.strip()!r}", line_no) from None
+        if u == v or not (0 <= u < limit and 0 <= v < limit):
+            raise EdgeListParseError(_arc_fault(u, v, declared_n, raw.strip()), line_no)
+        if arcs.setdefault((u, v), line_no) != line_no:
             raise EdgeListParseError(f"duplicate arc ({u},{v})", line_no)
-        seen.add((u, v))
-        arcs.append((u, v))
-        max_id = max(max_id, u, v)
-    n = declared_n if declared_n is not None else max_id + 1
+    n = declared_n if declared_n is not None else max(map(max, arcs), default=-1) + 1
     return Digraph(n, arcs)
+
+
+def _arc_fault(u, v, declared_n, line):
+    """What is wrong with the arc ``u v``, a self-loop or an id out of
+    range: a negative id first, then a self-loop, then an id at or above
+    the declared count, then one above the vertex limit."""
+    if u < 0 or v < 0:
+        return f"negative vertex id in {line!r}"
+    if u == v:
+        return f"self-loop ({u},{v}) forbidden (digraphs are simple)"
+    if declared_n is not None:
+        return f"vertex id in ({u},{v}) exceeds declared count {declared_n}"
+    return f"vertex id in ({u},{v}) exceeds the limit of {MAX_VERTICES} vertices"
 
 
 def to_edge_list(d: Digraph) -> str:

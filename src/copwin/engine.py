@@ -49,13 +49,31 @@ is a union of classes of D - C', so each is linked once per class, and
 all members of a class win in the same round with the same
 smallest-index move.  Expanding a class's move
 to its members gives the strategy map the vertex-level attractor gives.
-``transitions`` and the budget count this quotient arena: 1 per cop
-move tried from a class, plus 1 per robber-response class the move
-links.  That is never more than the vertex-level count, and equal to
-it in plain and strong solves when every class is a single vertex (D
-acyclic, say).  The moves that the boundary rule below skips are
-neither examined nor counted, so a monotone solve without strong
+``transitions`` and the budget count this quotient arena, with the
+responses shared as below: 1 per cop move tried from a class, plus,
+once per distinct (move, landing set), 1 per robber-response class
+the landing set holds.  The moves that the boundary rule below skips
+are neither examined nor counted, so a monotone solve without strong
 confinement counts only the moves it tries.
+
+Shared robber responses.  A class at r answering move j (cop set C')
+lands in L = opts(C, C', r), and many (class, move) pairs share one
+(j, L): classes of one cop set that reach the same vertices avoiding
+C & C', and classes of other cop sets whose guard leaves the robber
+the same run.  The kernel keeps one response node per (j, L), made the
+first time the key is seen.  It links the response classes of D - C'
+in L once, counts those still unwon and ORs their territories; every
+(class, move) pair that lands there only joins the node's parents.
+This is exact.  L is a union of classes of D - C' (shown above), so
+the response classes, their territories and the round in which the
+last of them is won depend only on (C', L), not on the class that
+moved.  A parent class wins at t + 1 when its node completes at round
+t, exactly when its own links would have completed, and ties still go
+to the smaller j, so verdicts and strategy maps are those of per-pair
+links.  The monotone veto of a pair is one test against the node: the
+move re-grows the class's territory T iff the OR of the response
+territories is not a subset of T.  (Under reachability confinement the
+boundary rule below leaves only moves that pass it.)
 
 Monotone moves keep the boundary.  Take a class of D - C with territory
 T (the vertices it reaches avoiding C) and let B be the cops of C with
@@ -76,9 +94,10 @@ is built once per solve), with capture iff T is a subset of C'.  Under
 strong confinement the options shrink to the robber's strong
 component, a lifted cop of B need not be among them, and only "C'
 contains B implies not vetoed" holds; strong solves, like plain ones,
-try every move, and a monotone strong solve walks each move's
-responses for a veto.  All modes share one move loop: only the guard
-rows of a cop set and the moves tried from a class depend on the mode.
+try every move, and a monotone strong solve vetoes a move by its
+response node (see above).  All modes share one move loop: only the
+guard rows of a cop set and the moves tried from a class depend on the
+mode.
 
 Full-size moves in plain visible play.  ``solver.solve`` hands a plain
 visible solve with 1 <= k <= n cops the empty start and the cop sets of
@@ -245,7 +264,8 @@ def solve_visible(succ, n, moves, monotone, strong, budget):
     (cops_win, strategy, transitions) where strategy maps (cop_mask,
     robber) -> move mask for every cop-winning position, picking the
     fastest-capture move and breaking ties by the canonical move order.
-    The attractor itself runs on the strong-component quotient, and
+    The attractor itself runs on the strong-component quotient with
+    one shared response node per (move, landing set), and
     ``transitions`` counts its work (see the module docstring); a count
     above ``budget`` raises StateBudgetExceededError.
     """
@@ -287,12 +307,13 @@ def solve_visible(succ, n, moves, monotone, strong, budget):
     transitions = 0
     win_round = [0] * num_cls
     best_move = [-1] * num_cls
-    cnt = [0] * (num_cls * m)
-    rev = [[] for _ in range(num_cls)]
+    # response nodes, one per (move j, landing set L): [response classes
+    # not yet won, OR of their territories, j, classes whose move j lands in L]
+    nodes = {}  # L * m + j -> node
+    rev = [[] for _ in range(num_cls)]  # class -> the nodes it is a response of
     queue = []
 
     boundary = monotone and not strong  # the boundary rule picks the moves
-    walk = monotone and strong  # a move's responses are walked for a veto
     guarded = {}  # boundary rule: B -> indices of the moves containing B
     cands = range(m)  # the moves tried from a class; the boundary rule narrows them
     for ci in range(m):
@@ -336,30 +357,28 @@ def solve_visible(succ, n, moves, monotone, strong, budget):
                     best_move[q] = j
                     queue.append(q)
                     break
-                masks = cls_mask[j]
-                if walk:
+                node = nodes.get(opts * m + j)
+                if node is None:
+                    node = nodes[opts * m + j] = [0, 0, j, []]
+                    masks = cls_mask[j]
+                    ids = cls_id[j]
                     space_j = space[j]
+                    deg = grown = 0
                     f = opts
                     while f:
                         x = (f & -f).bit_length() - 1
-                        if space_j[x] & ~s_old:
-                            break
+                        rev[ids[x]].append(node)
+                        deg += 1
+                        grown |= space_j[x]
                         f &= ~masks[x]
-                    if f:
-                        continue  # some response re-grows the territory: losing move
-                rid = q * m + j
-                ids = cls_id[j]
-                deg = 0
-                f = opts
-                while f:
-                    x = (f & -f).bit_length() - 1
-                    rev[ids[x]].append(rid)
-                    deg += 1
-                    f &= ~masks[x]
-                cnt[rid] = deg
-                transitions += deg
-                if transitions > budget:
-                    raise StateBudgetExceededError(budget, transitions)
+                    node[0] = deg
+                    node[1] = grown
+                    transitions += deg
+                    if transitions > budget:
+                        raise StateBudgetExceededError(budget, transitions)
+                if monotone and node[1] & ~s_old:
+                    continue  # some response re-grows the territory: losing move
+                node[3].append(q)
 
     # backward induction: FIFO processes classes in nondecreasing round order
     head = 0
@@ -367,18 +386,17 @@ def solve_visible(succ, n, moves, monotone, strong, budget):
         q2 = queue[head]
         head += 1
         t = win_round[q2]
-        for rid in rev[q2]:
-            c = cnt[rid] - 1
-            cnt[rid] = c
-            if c == 0:
-                q = rid // m
-                j = rid - q * m
-                if win_round[q] == 0:
-                    win_round[q] = t + 1
-                    best_move[q] = j
-                    queue.append(q)
-                elif win_round[q] == t + 1 and j < best_move[q]:
-                    best_move[q] = j
+        for node in rev[q2]:
+            node[0] -= 1
+            if node[0] == 0:
+                j = node[2]
+                for q in node[3]:
+                    if win_round[q] == 0:
+                        win_round[q] = t + 1
+                        best_move[q] = j
+                        queue.append(q)
+                    elif win_round[q] == t + 1 and j < best_move[q]:
+                        best_move[q] = j
 
     ids = cls_id[0]  # moves[0] is the empty set
     if not all(win_round[ids[r]] for r in range(n)):

@@ -5,7 +5,9 @@ package internals: plain frozensets, itertools enumeration, fixpoint
 iteration from below.  Only usable at tiny sizes.  The exceptions are
 former package code on bit masks, kept with their own reachability
 helpers: ``naive_solve_visible``, the vertex-level visible attractor,
-the reference for the kernel's strong-component quotient;
+the reference for the kernel's strong-component quotient, with
+``naive_visible_count``, the kernel's count of moves tried and shared
+robber responses;
 ``naive_solve_invisible``, the contamination search over every cop set,
 the reference for the kernel's one-vertex moves and eliminations;
 ``subset_dp_hamiltonian``, the one-int-per-set Hamiltonian DP, the
@@ -376,6 +378,57 @@ def naive_solve_visible(succ, pred, n, moves, monotone, strong, budget):
             if win_round[base + r]:
                 strategy[(cmask, r)] = moves[best_move[base + r]]
     return True, strategy, transitions
+
+
+def naive_visible_count(succ, pred, n, moves, monotone, strong):
+    """The work ``engine.solve_visible`` counts, from the game's rules.
+
+    Strong components come from forward and backward reach (the kernel
+    reads them off forward reach alone).  From each class of D - C (a
+    strong component, played from its lowest vertex r) the kernel tries
+    every move C' != C in order, up to the first capture; a monotone
+    reachability-confined solve tries only the moves that contain the
+    cops with an arc from r's territory.  Each move tried counts 1.  The
+    robber's landing set L is what r reaches avoiding C & C' (in strong
+    mode, inside r's strong component of D - (C & C')), minus C'.  Each
+    distinct (C', L) with L non-empty also counts the strong components
+    of D - C' that meet L, once, whichever classes share it.
+    """
+    fwd = {}
+    bwd = {}
+    comps = {}
+
+    def components(guard):
+        if guard not in comps:
+            ahead = _rows(fwd, succ, n, guard)
+            behind = _rows(bwd, pred, n, guard)
+            comps[guard] = sorted({ahead[v] & behind[v] for v in range(n) if not guard >> v & 1})
+        return comps[guard]
+
+    tried = 0
+    landings = set()
+    for cmask in moves:
+        for comp in components(cmask):
+            r = (comp & -comp).bit_length() - 1
+            territory = _rows(fwd, succ, n, cmask)[r]
+            cops_at_exit = 0
+            for x in range(n):
+                if territory >> x & 1:
+                    cops_at_exit |= succ[x] & cmask
+            for cj in moves:
+                if cj == cmask or (monotone and not strong
+                                   and cj & cops_at_exit != cops_at_exit):
+                    continue
+                tried += 1
+                guard = cmask & cj
+                land = _rows(fwd, succ, n, guard)[r]
+                if strong:
+                    land &= _rows(bwd, pred, n, guard)[r]
+                land &= ~cj
+                if not land:
+                    break
+                landings.add((cj, land))
+    return tried + sum(1 for cj, land in landings for comp in components(cj) if comp & land)
 
 
 def naive_solve_invisible(succ, n, moves, lazy, monotone, budget):

@@ -99,6 +99,24 @@ def test_parse_malformed_line_rejected():
             parse_edge_list(bad)
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    ("0 1\n0 1\n2 2\n", 2, "duplicate arc (0,1)"),
+    ("n 3\n0 1\n-1 -1\n", 3, "negative vertex id in '-1 -1'"),
+    ("n 3\n5 5\n", 2, "self-loop (5,5) forbidden (digraphs are simple)"),
+    ("n 3\n0 1\n1 7\n0 1\n", 3, "vertex id in (1,7) exceeds declared count 3"),
+    ("0 1\n2 1048576\n", 2, "vertex id in (2,1048576) exceeds the limit of 1048576 vertices"),
+    ("  # note\n\t0 1  \n0 1 # c\n", 3, "malformed arc line '0 1 # c'"),
+    ("0 1\nn 2\n", 2, "header 'n <count>' must be the first data line"),
+    ("n 2\n0 1\n1 0\n0 1\n3 3\n", 4, "duplicate arc (0,1)"),
+])
+def test_parse_names_the_first_fault(text, line_no, message):
+    # the first faulty line in file order, with the message of its first
+    # fault in the documented order
+    with pytest.raises(EdgeListParseError) as info:
+        parse_edge_list(text)
+    assert (info.value.line_no, str(info.value)) == (line_no, f"line {line_no}: {message}")
+
+
 def test_parse_comments_and_inferred_n():
     d = parse_edge_list("# a comment\n2 0\n\n0 1\n")
     assert d.n == 3
@@ -147,6 +165,20 @@ def test_constructor_rejects_self_loop_duplicate_out_of_range():
         Digraph(2, [(0, 2)])
     with pytest.raises(ValueError):
         Digraph(-1)
+
+
+@pytest.mark.parametrize("arcs, message", [
+    ([(0, 1), (0, 1), (5, 5)], "duplicate arc (0,1)"),
+    ([(0, 1), (4, 4), (0, 1)], "arc (4,4) out of range for n=3"),
+    ([(0, 1), (1, 0), (2, 2)], "self-loop (2,2) not allowed in a simple digraph"),
+    ([(1, 0), (0, 1), (1, 0)], "duplicate arc (1,0)"),
+])
+def test_constructor_names_the_first_fault(arcs, message):
+    # in the order given, also when the arcs come from an iterator
+    for given in (arcs, iter(arcs)):
+        with pytest.raises(ValueError) as info:
+            Digraph(3, given)
+        assert str(info.value) == message
 
 
 def test_isolated_vertices_allowed():

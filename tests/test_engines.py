@@ -1,7 +1,8 @@
 """Solver kernels: golden digests of their outputs, agreement with the
 former kernels kept in ``tests/oracles.py`` (winners, strategies,
-certificates, and how the transition counts that feed the budget
-compare), and the full-size cop moves of plain visible solves."""
+certificates) and with its count of the visible kernel's work (the
+transitions that feed the budget), and the full-size cop moves of plain
+visible solves."""
 import hashlib
 import random
 
@@ -13,7 +14,12 @@ from copwin.bits import mask_to_tuple, subsets_upto
 from copwin.digraph import Digraph, fingerprint
 from copwin.errors import StateBudgetExceededError
 from copwin.solver import Certificate, solve, verify_certificate
-from oracles import enumerate_arc_lists, naive_solve_invisible, naive_solve_visible
+from oracles import (
+    enumerate_arc_lists,
+    naive_solve_invisible,
+    naive_solve_visible,
+    naive_visible_count,
+)
 
 
 def _random_instance(rng, max_n=6):
@@ -33,27 +39,26 @@ def _random_instance(rng, max_n=6):
 # winners, strategies, sequences and transition counts; the small
 # budgets also pin the (budget, explored) pair carried by
 # StateBudgetExceededError, so the point where a solve gives up cannot
-# move either.  GOLDEN_VISIBLE was re-recorded when monotone
-# reachability-confined solves stopped counting the moves the boundary
-# rule vetoes (they are never examined); the digests below it, recorded
-# before that change, show that it moved nothing else.
-# GOLDEN_VISIBLE_STRATEGY pins winners and strategies only and was
-# recorded on the vertex-level count, before the quotient count.  The
-# invisible stream is split by mode: the plain digests were recorded on
-# the one-vertex-move search, the monotone ones on the
-# one-vertex-elimination search.
+# move either.  GOLDEN_VISIBLE and GOLDEN_VISIBLE_BUT_MONOTONE_REACH were
+# re-recorded when the visible kernel began sharing robber responses (one
+# response node per move and landing set), which changed the counts and
+# so the give-up points, and nothing else: winners and strategies are
+# GOLDEN_VISIBLE_STRATEGY's, recorded on the vertex-level count, before
+# the quotient count.  The invisible stream is split by mode: the plain
+# digests were recorded on the one-vertex-move search, the monotone ones
+# on the one-vertex-elimination search.
 GOLDEN_BUDGETS = (3, 40, 400, 3000)
 GOLDEN_VISIBLE_STRATEGY = "ff07f01430a41bfc9d7b35c68fd64e4187467449da68931671998e635ef2629d"
 GOLDEN_VISIBLE = {
-    (10**7,): "820f5684bc1ece2364920ddc03f4450a16a4d3fc921e8ef70b71c60a718ddcb5",
-    GOLDEN_BUDGETS: "ad273e6f499e15c3c636a02f5e49eeba2df499b537c941e3cf7ebf322e967f71",
+    (10**7,): "e75f6a720f66d7a4e042942930df67267b2fe2fc1813cc18fa727c4d515231c7",
+    GOLDEN_BUDGETS: "bc91209ae4f31b57d3d218a9e1d29a376b42ad0d275f1dc84fb77dba6dbc611f",
 }
 # _visible_stream without its monotone reachability-confined entries,
-# recorded before vetoed monotone moves stopped counting: that change
-# moved counts and give-up points of those entries only.
+# first recorded to show that no longer counting vetoed monotone moves
+# moved the counts of those entries only; re-recorded with GOLDEN_VISIBLE.
 GOLDEN_VISIBLE_BUT_MONOTONE_REACH = {
-    (10**7,): "0a2eaafe1b6621ccedcd110e45a24b1fbb8ebe74215a8d08d8ebbb5f7173ba78",
-    GOLDEN_BUDGETS: "4694890a3e21ec4a9c5b412a3c096eaa0fb607fe90e33accb231b0f837310ba3",
+    (10**7,): "732e8ed04a9ffa3a364785a4b435aaddc102f73e056346240f03225554fb2d7e",
+    GOLDEN_BUDGETS: "d79377a4671991a06de8fd39f9bc37c2a611f4755b68522ab8360e21c30ad08a",
 }
 GOLDEN_INVISIBLE = {
     (10**7,): "a1f7536fed00dc4ac4ead8e51d5a801ec707bd53bd6abefd457ff6c16a847ff2",
@@ -172,29 +177,52 @@ def _dense_cases():
             yield trial, shape, succ, pred, n, subsets_upto(n, k)
 
 
+def _check_visible(succ, pred, n, moves, where):
+    """Every mode: the vertex-level oracle's winner and strategy, and the
+    count ``naive_visible_count`` derives from the rules."""
+    for mono in (False, True):
+        for strong in (False, True):
+            got = engine.solve_visible(succ, n, moves, mono, strong, 10**9)
+            want = naive_solve_visible(succ, pred, n, moves, mono, strong, 10**9)
+            assert got[:2] == want[:2], (where, mono, strong)
+            assert got[2] == naive_visible_count(succ, pred, n, moves, mono, strong), (
+                where, mono, strong)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_visible_kernel_matches_oracles_census(n):
+    # every labeled digraph with n <= 4, every cop count
+    for arcs in enumerate_arc_lists(n):
+        d = Digraph(n, arcs)
+        for k in range(n + 1):
+            _check_visible(d.succ_masks, d.pred_masks, n, subsets_upto(n, k), (arcs, k))
+
+
+def test_visible_kernel_matches_oracles_random():
+    rng = random.Random(8)
+    for trial in range(60):
+        n = rng.randint(5, 9)
+        p = rng.choice([0.2, 0.3, 0.45, 0.6])
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                        if u != v and rng.random() < p])
+        k = rng.randint(1, 3)
+        _check_visible(d.succ_masks, d.pred_masks, n, subsets_upto(n, k), (trial, d.arcs, k))
+
+
 def test_visible_quotient_matches_vertex_level_oracle():
     # Dense n = 7..9 graphs put many robber spots in one strong component
-    # of D - C, unlike the n <= 6 digest streams; in acyclic graphs every
-    # component is one vertex, so the quotient count of a plain or strong
-    # solve is the vertex-level count.  A monotone reachability-confined
-    # solve skips, uncounted, the moves the boundary rule vetoes, so its
-    # count is at most the vertex-level one.  Budgets at and above the
-    # count change nothing; budgets of 1, a third of the count and one
-    # transition short must give up.
+    # of D - C, unlike the n <= 6 digest streams, and many classes share
+    # one robber response.  Budgets at and above the count change
+    # nothing; budgets of 1, a third of the count and one transition
+    # short must give up.
     for trial, shape, succ, pred, n, moves in _dense_cases():
+        _check_visible(succ, pred, n, moves, (trial, shape))
         for mono in (False, True):
             for strong in (False, True):
                 args = (succ, n, moves, mono, strong)
                 where = (trial, shape, mono, strong)
-                win, strategy, vertex_level = naive_solve_visible(
-                    succ, pred, n, moves, mono, strong, 10**9)
                 got = engine.solve_visible(*args, 10**9)
                 count = got[2]
-                assert got[:2] == (win, strategy), where
-                if shape == "acyclic" and (strong or not mono):
-                    assert count == vertex_level, where
-                else:
-                    assert count <= vertex_level, where
                 for budget in (count, 2 * count):
                     assert engine.solve_visible(*args, budget) == got, where
                 for budget in (1, count // 3, count - 1):
@@ -209,10 +237,11 @@ def test_visible_quotient_matches_vertex_level_oracle():
 # StateBudgetExceededError at 20 budgets spread over 1..count.  The
 # n <= 6 golden streams pin where a solve gives up only on small graphs;
 # this pins it where territories span many classes and many monotone
-# moves are vetoed.  Re-recorded when the moves the boundary rule of the
-# ``engine`` docstring vetoes stopped counting; winners and
-# strategies are those of the kernel that walked each move's responses.
-GOLDEN_VISIBLE_MONOTONE_DENSE = "8bdfeee99e9f61abe04a5458dd6d49800875a8505a9b629f8fbb63abef1472ce"
+# moves are vetoed.  Re-recorded when the visible kernel began sharing
+# robber responses, which changed only the counts and give-up points;
+# winners and strategies are those of the kernel that walked each
+# move's responses.
+GOLDEN_VISIBLE_MONOTONE_DENSE = "4fffd1cbc52edee9dd916599892aefefec0a680a5b9c4b7b83c51191a093e2e3"
 
 
 def test_visible_monotone_dense_count_digest():

@@ -274,11 +274,14 @@ def test_gap_scan_certifies_a_plain_value_that_gap_did_not_solve(variant):
 
 def test_gap_scan_budget_error_in_the_certificate_solve():
     # at this budget gap settles both values, but the plain cop-win
-    # solve that certifies them does not fit
-    d = Digraph(4, [(0, 1), (0, 2), (2, 3)])
-    res = gap(d, VISIBLE_FAST, state_budget=106)
+    # solve that certifies them does not fit: on the directed path P5,
+    # one cop's pre-flight estimate is 6 * 5 * 6 = 180 and the plain
+    # solve counts 190 (re-chosen when shared robber responses lowered
+    # the visible count; no 4-vertex digraph has such a budget now)
+    d = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    res = gap(d, VISIBLE_FAST, state_budget=185)
     assert (res.cop_number, res.plain.outcome) == (1, None)
-    rec = gap_scan([d], VISIBLE_FAST, state_budget=106).records[0]
+    rec = gap_scan([d], VISIBLE_FAST, state_budget=185).records[0]
     assert rec.status == "budget-exceeded"
     assert (rec.copnum, rec.mon_copnum, rec.certificate_plain) == (None, None, None)
 

@@ -47,12 +47,11 @@ have the same robber options, the same strong-confinement options and
 the same monotone territory for every cop move.  Every robber response
 is a union of classes of D - C', so each is linked once per class, and
 all members of a class win in the same round with the same
-smallest-index move.  Expanding a class's move
-to its members gives the strategy map the vertex-level attractor gives.
-``transitions`` and the budget count this quotient arena, with the
-responses shared as below: 1 per cop move tried from a class, plus,
-once per distinct (move, landing set), 1 per robber-response class
-the landing set holds.  The moves that the boundary rule below skips
+smallest-index move, the move the vertex-level attractor picks for
+each of them.  ``transitions`` and the budget count this quotient
+arena, with the responses shared as below: 1 per cop move tried from a
+class, plus, once per distinct (move, landing set), 1 per
+robber-response class the landing set holds.  The moves that the boundary rule below skips
 are neither examined nor counted, so a monotone solve without strong
 confinement counts only the moves it tries.
 
@@ -74,6 +73,25 @@ links.  The monotone veto of a pair is one test against the node: the
 move re-grows the class's territory T iff the OR of the response
 territories is not a subset of T.  (Under reachability confinement the
 boundary rule below leaves only moves that pass it.)
+
+The strategy from the kernel's own tables.  A cop-winning class q
+keeps, beside its best move j, the landing set L of that move: the
+robber's options at its lowest vertex, 0 on capture.  Both are set
+together, in the tie-break to a smaller j too.  On a cop win the kernel
+walks from every start (empty set, r): at (C, r) it takes r's class q
+of D - C, records moves[j], and goes on to (C', x) for every x in L.
+This is the strategy on exactly the positions its play reaches, and it
+equals the vertex-level map restricted to them.  Every member r of q
+has q's landing set, since L depends only on r's class (shown above),
+so L is ``arena.robber_options_mask(d, C, C', r, strong)``: the
+options row of the guard C & C' at r minus C'.  In the boundary mode
+below the kernel takes L = T - C', which the boundary rule shows equal
+to it for every move it tries.  Every class a landing set meets has
+won (its node completed), so the walk never leaves the won positions;
+and it reaches what a walk over the full map with the arena's
+landing spots reaches, so the sorted certificate entries are the
+same bytes.  No per-vertex map is built and no landing set is
+recomputed.
 
 Monotone moves keep the boundary.  Take a class of D - C with territory
 T (the vertices it reaches avoiding C) and let B be the cops of C with
@@ -261,13 +279,15 @@ def solve_visible(succ, n, moves, monotone, strong, budget):
 
     Positions are (cop set, robber vertex) with the cops to move; the
     robber answers each cop move with any legal landing spot.  Returns
-    (cops_win, strategy, transitions) where strategy maps (cop_mask,
-    robber) -> move mask for every cop-winning position, picking the
-    fastest-capture move and breaking ties by the canonical move order.
+    (cops_win, strategy, transitions).  On a cop win, strategy maps
+    (cop_mask, robber) -> move mask for every position the strategy
+    reaches from the starts (0, r), picking the fastest-capture move and
+    breaking ties by the canonical move order; otherwise it is None.
     The attractor itself runs on the strong-component quotient with
-    one shared response node per (move, landing set), and
-    ``transitions`` counts its work (see the module docstring); a count
-    above ``budget`` raises StateBudgetExceededError.
+    one shared response node per (move, landing set), and the strategy
+    is read from its tables by a walk from the starts (see the module
+    docstring); ``transitions`` counts its work, and a count above
+    ``budget`` raises StateBudgetExceededError.
     """
     m = len(moves)
     if m == 1:  # only the empty cop set: no transitions, no capture
@@ -307,8 +327,9 @@ def solve_visible(succ, n, moves, monotone, strong, budget):
     transitions = 0
     win_round = [0] * num_cls
     best_move = [-1] * num_cls
+    land = [0] * num_cls  # the landing set of best_move (0: capture)
     # response nodes, one per (move j, landing set L): [response classes
-    # not yet won, OR of their territories, j, classes whose move j lands in L]
+    # not yet won, OR of their territories, j, classes whose move j lands in L, L]
     nodes = {}  # L * m + j -> node
     rev = [[] for _ in range(num_cls)]  # class -> the nodes it is a response of
     queue = []
@@ -359,7 +380,7 @@ def solve_visible(succ, n, moves, monotone, strong, budget):
                     break
                 node = nodes.get(opts * m + j)
                 if node is None:
-                    node = nodes[opts * m + j] = [0, 0, j, []]
+                    node = nodes[opts * m + j] = [0, 0, j, [], opts]
                     masks = cls_mask[j]
                     ids = cls_id[j]
                     space_j = space[j]
@@ -394,25 +415,31 @@ def solve_visible(succ, n, moves, monotone, strong, budget):
                     if win_round[q] == 0:
                         win_round[q] = t + 1
                         best_move[q] = j
+                        land[q] = node[4]
                         queue.append(q)
                     elif win_round[q] == t + 1 and j < best_move[q]:
                         best_move[q] = j
+                        land[q] = node[4]
 
     ids = cls_id[0]  # moves[0] is the empty set
     if not all(win_round[ids[r]] for r in range(n)):
         return False, None, transitions
+    # the positions the strategy reaches from the starts (0, r)
     strategy = {}
-    for ci in range(m):
-        cmask = moves[ci]
-        if cmask == full:
+    stack = [(0, r) for r in range(n)]
+    while stack:
+        ci, r = stack.pop()
+        key = (moves[ci], r)
+        if key in strategy:
             continue
-        ids = cls_id[ci]
-        for r in range(n):
-            if cmask >> r & 1:
-                continue
-            q = ids[r]
-            if win_round[q]:
-                strategy[(cmask, r)] = moves[best_move[q]]
+        q = cls_id[ci][r]
+        j = best_move[q]
+        strategy[key] = moves[j]
+        f = land[q]
+        while f:
+            low = f & -f
+            stack.append((j, low.bit_length() - 1))
+            f ^= low
     return True, strategy, transitions
 
 

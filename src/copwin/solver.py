@@ -7,9 +7,13 @@ monotone ones by a depth-first search over one-vertex eliminations.
 All are exact; exceeding the transition budget raises
 StateBudgetExceededError, never a silent robber verdict.
 
-Certificates are replayable by ``verify_certificate``, which is written
-against the arena-module semantics only and shares no code with the
-solving kernels.
+On a cop win the kernels return the certificate's content: the visible
+kernel its strategy on exactly the positions play reaches from the
+starts, the invisible kernel its move sequence.  ``solve`` only
+converts either to vertex tuples (sorting the positional entries) and
+attaches it to one ``Certificate``.  Certificates are replayable by
+``verify_certificate``, which is written against the arena-module
+semantics only and shares no code with the solving kernels.
 """
 from __future__ import annotations
 
@@ -134,9 +138,13 @@ def _vertex(value):
 
 
 def _vertex_set(value):
+    """A vertex set's JSON form: an array of strictly ascending vertex ids."""
     if not isinstance(value, list):
         raise CertificateError(f"malformed certificate: {value!r} is not a vertex list")
-    return tuple(_vertex(v) for v in value)
+    out = tuple(_vertex(v) for v in value)
+    if any(a >= b for a, b in zip(out, out[1:])):
+        raise CertificateError(f"malformed certificate: {value!r} is not ascending")
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,14 +216,17 @@ def solve(
         cops_win, strategy, transitions = engine.solve_visible(
             d.succ_masks, d.n, moves, monotone, strong, state_budget
         )
-        if not cops_win:
-            return Outcome(Winner.ROBBER, None, transitions)
-        cert = _positional_certificate(d, k, variant, monotone, strategy, strong)
-        return Outcome(Winner.COPS, cert, transitions)
-    lazy = variant.agility is Agility.LAZY
-    cops_win, seq, transitions = engine.solve_invisible(
-        d.succ_masks, d.pred_masks, d.n, k, lazy, monotone, state_budget
-    )
+        kind = "positional"
+        body = cops_win and tuple(sorted(
+            (mask_to_tuple(c), r, mask_to_tuple(mv)) for (c, r), mv in strategy.items()
+        ))
+    else:
+        lazy = variant.agility is Agility.LAZY
+        cops_win, seq, transitions = engine.solve_invisible(
+            d.succ_masks, d.pred_masks, d.n, k, lazy, monotone, state_budget
+        )
+        kind = "sequence"
+        body = cops_win and tuple(mask_to_tuple(c) for c in seq)
     if not cops_win:
         return Outcome(Winner.ROBBER, None, transitions)
     cert = Certificate(
@@ -223,8 +234,8 @@ def solve(
         k=k,
         monotone=monotone,
         graph_sha256=fingerprint(d),
-        kind="sequence",
-        body=tuple(mask_to_tuple(c) for c in seq),
+        kind=kind,
+        body=body,
     )
     return Outcome(Winner.COPS, cert, transitions)
 
@@ -295,33 +306,6 @@ def gap(
 # Certificates
 # ---------------------------------------------------------------------------
 
-def _positional_certificate(d, k, variant, monotone, strategy, strong):
-    """Trim the full winning-strategy map to positions reachable under it."""
-    entries = []
-    seen = set()
-    stack = [(0, r) for r in range(d.n - 1, -1, -1)]
-    while stack:
-        cmask, r = stack.pop()
-        if (cmask, r) in seen:
-            continue
-        seen.add((cmask, r))
-        move = strategy[(cmask, r)]
-        entries.append((mask_to_tuple(cmask), r, mask_to_tuple(move)))
-        opts = robber_options_mask(d, cmask, move, r, strong=strong)
-        for r2 in iter_bits(opts):
-            if (move, r2) not in seen:
-                stack.append((move, r2))
-    entries.sort()
-    return Certificate(
-        variant=variant.name,
-        k=k,
-        monotone=monotone,
-        graph_sha256=fingerprint(d),
-        kind="positional",
-        body=tuple(entries),
-    )
-
-
 def verify_certificate(d: Digraph, cert: Certificate) -> VerificationResult:
     """Independently replay a certificate against the arena semantics.
 
@@ -360,6 +344,8 @@ def _verify_positional(d, cert, variant):
             )
         if cmask >> robber & 1:
             raise CertificateError(f"entry ({cops},{robber}) puts the robber on a cop")
+        if (cmask, robber) in strategy:
+            raise CertificateError(f"position ({cops},{robber}) is named twice")
         strategy[(cmask, robber)] = mmask
 
     verified = set()

@@ -6,8 +6,9 @@ iteration from below.  Only usable at tiny sizes.  The exceptions are
 former package code on bit masks, kept with their own reachability
 helpers: ``naive_solve_visible``, the vertex-level visible attractor,
 the reference for the kernel's strong-component quotient, with
-``naive_visible_count``, the kernel's count of moves tried and shared
-robber responses;
+``reachable_strategy``, its strategy restricted to the positions play
+reaches, and ``naive_visible_count``, the kernel's count of moves tried
+and shared robber responses;
 ``naive_solve_invisible``, the contamination search over every cop set,
 the reference for the kernel's one-vertex moves and eliminations;
 ``subset_dp_hamiltonian``, the one-int-per-set Hamiltonian DP, the
@@ -259,7 +260,8 @@ def naive_solve_visible(succ, pred, n, moves, monotone, strong, budget):
 
     One position per (cop set, robber vertex).  ``engine.solve_visible``
     solves the strong-component quotient instead and must return the
-    same winner and strategy; its transition count, which counts the
+    same winner and, on a cop win, this strategy restricted by
+    ``reachable_strategy``; its transition count, which counts the
     quotient, must be at most this one, and equal where every strong
     component is a single vertex.
 
@@ -378,6 +380,35 @@ def naive_solve_visible(succ, pred, n, moves, monotone, strong, budget):
             if win_round[base + r]:
                 strategy[(cmask, r)] = moves[best_move[base + r]]
     return True, strategy, transitions
+
+
+def reachable_strategy(succ, pred, n, strategy, strong):
+    """``strategy``, a map (cop_mask, robber) -> move mask, restricted to
+    the positions its play reaches from the starts (0, r).
+
+    At (C, r) the cops play C' = strategy[(C, r)] and the robber lands
+    on any vertex outside C' that r reaches avoiding C & C' (in strong
+    mode, inside r's strong component of D - (C & C')).
+    ``engine.solve_visible`` returns exactly this restriction of
+    ``naive_solve_visible``'s map.
+    """
+    fwd = {}
+    bwd = {}
+    out = {}
+    stack = [(0, r) for r in range(n)]
+    while stack:
+        key = stack.pop()
+        if key in out:
+            continue
+        cmask, r = key
+        move = out[key] = strategy[key]
+        guard = cmask & move
+        land = _rows(fwd, succ, n, guard)[r]
+        if strong:
+            land &= _rows(bwd, pred, n, guard)[r]
+        land &= ~move
+        stack.extend((move, x) for x in range(n) if land >> x & 1)
+    return out
 
 
 def naive_visible_count(succ, pred, n, moves, monotone, strong):

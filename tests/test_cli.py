@@ -188,6 +188,26 @@ def test_certify_malformed_field_exit_4(capsys, tmp_path, c3_file, key, value):
     assert err.startswith("certificate error:")
 
 
+@pytest.mark.parametrize("tamper", ["position-twice", "descending-move"])
+def test_certify_schema_break_exit_4(capsys, tmp_path, c3_file, tamper):
+    # a position listed twice (here with a losing move) and a vertex set
+    # out of ascending order break the schema, whatever the replay says
+    cert = tmp_path / "cert.json"
+    run_cli(capsys, "copnum", "--emit-cert", str(cert), c3_file)
+    doc = json.loads(cert.read_text())
+    if tamper == "position-twice":
+        doc["body"].append({"cops": [], "robber": 0, "move": []})
+    else:
+        move = doc["body"][0]["move"]
+        assert len(move) == 2
+        move.reverse()
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "certify", c3_file, str(cert))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("certificate error:")
+
+
 @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000],
                          ids=["not-utf8", "deep-nesting"])
 def test_certify_unreadable_text_exit_4(capsys, tmp_path, c3_file, raw):

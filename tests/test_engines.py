@@ -19,6 +19,7 @@ from oracles import (
     naive_solve_invisible,
     naive_solve_visible,
     naive_visible_count,
+    reachable_strategy,
 )
 
 
@@ -39,26 +40,21 @@ def _random_instance(rng, max_n=6):
 # winners, strategies, sequences and transition counts; the small
 # budgets also pin the (budget, explored) pair carried by
 # StateBudgetExceededError, so the point where a solve gives up cannot
-# move either.  GOLDEN_VISIBLE and GOLDEN_VISIBLE_BUT_MONOTONE_REACH were
-# re-recorded when the visible kernel began sharing robber responses (one
-# response node per move and landing set), which changed the counts and
-# so the give-up points, and nothing else: winners and strategies are
-# GOLDEN_VISIBLE_STRATEGY's, recorded on the vertex-level count, before
-# the quotient count.  The invisible stream is split by mode: the plain
+# move either.  GOLDEN_VISIBLE was re-recorded when the visible kernel
+# began sharing robber responses (one response node per move and landing
+# set), which changed the counts and so the give-up points, and again
+# when it began returning only the positions its strategy reaches from
+# the starts; GOLDEN_VISIBLE_STRATEGY (winners and strategies) was
+# re-recorded with it.  The second time, the former kernel's results,
+# with its full strategy maps restricted by ``reachable_strategy``, gave
+# the new digests.  The invisible stream is split by mode: the plain
 # digests were recorded on the one-vertex-move search, the monotone ones
 # on the one-vertex-elimination search.
 GOLDEN_BUDGETS = (3, 40, 400, 3000)
-GOLDEN_VISIBLE_STRATEGY = "ff07f01430a41bfc9d7b35c68fd64e4187467449da68931671998e635ef2629d"
+GOLDEN_VISIBLE_STRATEGY = "3edba22df4a2cb66fab8cbefac5cc16b2a96b0eff473b666b82d9728b294fce6"
 GOLDEN_VISIBLE = {
-    (10**7,): "e75f6a720f66d7a4e042942930df67267b2fe2fc1813cc18fa727c4d515231c7",
-    GOLDEN_BUDGETS: "bc91209ae4f31b57d3d218a9e1d29a376b42ad0d275f1dc84fb77dba6dbc611f",
-}
-# _visible_stream without its monotone reachability-confined entries,
-# first recorded to show that no longer counting vetoed monotone moves
-# moved the counts of those entries only; re-recorded with GOLDEN_VISIBLE.
-GOLDEN_VISIBLE_BUT_MONOTONE_REACH = {
-    (10**7,): "732e8ed04a9ffa3a364785a4b435aaddc102f73e056346240f03225554fb2d7e",
-    GOLDEN_BUDGETS: "d79377a4671991a06de8fd39f9bc37c2a611f4755b68522ab8360e21c30ad08a",
+    (10**7,): "8c63248e03c48ca6a5eea0722e6bf3c15ccd58afda2763ca7e04de6ae5e5dadf",
+    GOLDEN_BUDGETS: "305189be7ecbcf7294a2f7a6bd3c73016ba6e9d18116db62b3566b46433efc45",
 }
 GOLDEN_INVISIBLE = {
     (10**7,): "a1f7536fed00dc4ac4ead8e51d5a801ec707bd53bd6abefd457ff6c16a847ff2",
@@ -92,11 +88,9 @@ def _visible_stream():
                 yield succ, n, moves, mono, strong
 
 
-def _visible_digest(budgets, keep=lambda mono, strong: True):
+def _visible_digest(budgets):
     h = hashlib.sha256()
     for args in _visible_stream():
-        if not keep(*args[3:]):
-            continue
         for budget in budgets:
             entry = _golden_entry(lambda: engine.solve_visible(*args, budget))
             h.update(repr(entry).encode())
@@ -106,14 +100,6 @@ def _visible_digest(budgets, keep=lambda mono, strong: True):
 @pytest.mark.parametrize("budgets", [(10**7,), GOLDEN_BUDGETS], ids=["ample", "small"])
 def test_visible_golden_digest(budgets):
     assert _visible_digest(budgets) == GOLDEN_VISIBLE[budgets]
-
-
-@pytest.mark.parametrize("budgets", [(10**7,), GOLDEN_BUDGETS], ids=["ample", "small"])
-def test_visible_golden_digest_but_monotone_reach(budgets):
-    # every entry of the stream but the monotone reachability-confined
-    # ones, whose count alone changed when vetoed moves stopped counting
-    keep = lambda mono, strong: strong or not mono
-    assert _visible_digest(budgets, keep) == GOLDEN_VISIBLE_BUT_MONOTONE_REACH[budgets]
 
 
 def test_visible_strategy_digest():
@@ -178,13 +164,17 @@ def _dense_cases():
 
 
 def _check_visible(succ, pred, n, moves, where):
-    """Every mode: the vertex-level oracle's winner and strategy, and the
-    count ``naive_visible_count`` derives from the rules."""
+    """Every mode: the vertex-level oracle's winner, its strategy restricted
+    to the positions play reaches, and the count ``naive_visible_count``
+    derives from the rules."""
     for mono in (False, True):
         for strong in (False, True):
             got = engine.solve_visible(succ, n, moves, mono, strong, 10**9)
-            want = naive_solve_visible(succ, pred, n, moves, mono, strong, 10**9)
-            assert got[:2] == want[:2], (where, mono, strong)
+            cops_win, strategy, _ = naive_solve_visible(
+                succ, pred, n, moves, mono, strong, 10**9)
+            if cops_win:
+                strategy = reachable_strategy(succ, pred, n, strategy, strong)
+            assert got[:2] == (cops_win, strategy), (where, mono, strong)
             assert got[2] == naive_visible_count(succ, pred, n, moves, mono, strong), (
                 where, mono, strong)
 
@@ -238,10 +228,12 @@ def test_visible_quotient_matches_vertex_level_oracle():
 # n <= 6 golden streams pin where a solve gives up only on small graphs;
 # this pins it where territories span many classes and many monotone
 # moves are vetoed.  Re-recorded when the visible kernel began sharing
-# robber responses, which changed only the counts and give-up points;
-# winners and strategies are those of the kernel that walked each
-# move's responses.
-GOLDEN_VISIBLE_MONOTONE_DENSE = "4fffd1cbc52edee9dd916599892aefefec0a680a5b9c4b7b83c51191a093e2e3"
+# robber responses, which changed only the counts and give-up points
+# (winners and strategies are those of the kernel that walked each
+# move's responses), and again when it began returning only the
+# positions its strategy reaches, which the former kernel's maps
+# restricted by ``reachable_strategy`` reproduce.
+GOLDEN_VISIBLE_MONOTONE_DENSE = "e4f2adcd6b72f8a6d65498742a780a9a50d42cadf2eddbacb32e6bb6a0f7269a"
 
 
 def test_visible_monotone_dense_count_digest():

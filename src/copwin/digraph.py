@@ -26,19 +26,25 @@ class Digraph:
         # cheap checks first; on a fault, _check_arcs raises for the first
         # faulty arc in the given order (a repeat may come before this one)
         arc_list = []
+        succ = [0] * n
+        pred = [0] * n
         for u, v in arcs:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 _check_arcs(n, arc_list + [(u, v)])
             arc_list.append((u, v))
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
         arc_set = frozenset(arc_list)
         if len(arc_set) != len(arc_list):
             _check_arcs(n, arc_list)
-        arc_list.sort()
-        succ = [0] * n
-        pred = [0] * n
-        for u, v in arc_list:
-            succ[u] |= 1 << v
-            pred[v] |= 1 << u
+        # the arcs in lexicographic order, read off the rows
+        arc_list = []
+        for u in range(n):
+            f = succ[u]
+            while f:
+                low = f & -f
+                arc_list.append((u, low.bit_length() - 1))
+                f ^= low
         self._n = n
         self._arcs = tuple(arc_list)
         self._arc_set = arc_set

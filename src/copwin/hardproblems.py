@@ -353,11 +353,23 @@ def min_equivalent_subgraph(d: Digraph) -> ProblemSolution:
 
     Arcs whose single deletion already changes the closure are in every
     equivalent subgraph (closure is monotone in the arc set), so the
-    subset search runs over the remaining optional arcs only, by
-    increasing kept-count.  It starts at the count that tops the
-    mandatory arcs up to ``mes_lower_bound(d)``: no smaller subgraph is
-    equivalent, so the witness is still the first equivalent one in
-    ``itertools.combinations`` order of the smallest size.
+    search runs over the remaining optional arcs only, by increasing
+    kept-count.  It starts at the count that tops the mandatory arcs up
+    to ``mes_lower_bound(d)``: no smaller subgraph is equivalent.  For
+    each count c a depth-first search picks c optional arcs in index
+    order, so its leaves come in ``itertools.combinations`` order, and
+    each leaf is checked against D's closure.
+
+    The search cuts a branch only when no leaf below it is equivalent.
+    If u reaches another vertex in D, an equivalent H has an arc out of
+    u (the first step of that path); if another vertex reaches v, H has
+    an arc into v.  A branch is cut when more vertices still lack such
+    an out-arc (or in-arc), given the mandatory and the picked arcs,
+    than arcs are left to pick (an arc gives at most one of each), or
+    when one of them has no out-arc (in-arc) among the optional arcs not
+    yet passed.  Pruning skips only subtrees with no equivalent leaf, so
+    the first equivalent leaf found in DFS order is the first equivalent
+    set of the smallest size in ``combinations`` order.
     """
     if d.n > MES_MAX_N:
         raise SizeLimitError(f"min_equivalent_subgraph handles n <= {MES_MAX_N}, got {d.n}")
@@ -370,17 +382,47 @@ def min_equivalent_subgraph(d: Digraph) -> ProblemSolution:
         succ[u] ^= 1 << v
         (optional if _closure_equals(succ, target) else mandatory).append(arc)
         succ[u] ^= 1 << v
-    base = [0] * d.n
+    need_out = need_in = 0
+    for u, row in enumerate(target):
+        others = row & ~(1 << u)
+        if others:
+            need_out |= 1 << u
+            need_in |= others
+    h_succ = [0] * d.n  # H's rows: the mandatory arcs, then the picked ones
     for u, v in mandatory:
-        base[u] |= 1 << v
-    for keep_count in range(max(0, mes_lower_bound(d) - len(mandatory)), len(optional) + 1):
-        for kept in itertools.combinations(optional, keep_count):
-            succ = list(base)
-            for u, v in kept:
-                succ[u] |= 1 << v
-            if _closure_equals(succ, target):
-                witness = tuple(sorted(mandatory + list(kept)))
-                return ProblemSolution("minimum_equivalent_subgraph", witness, len(witness))
+        h_succ[u] |= 1 << v
+        need_out &= ~(1 << u)
+        need_in &= ~(1 << v)
+    # tails[i] / heads[i]: the vertices with an arc out of / into them in optional[i:]
+    m = len(optional)
+    tails = [0] * (m + 1)
+    heads = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        u, v = optional[i]
+        tails[i] = tails[i + 1] | 1 << u
+        heads[i] = heads[i + 1] | 1 << v
+    kept = []
+
+    def search(start, left, lack_out, lack_in):
+        if (lack_out.bit_count() > left or lack_in.bit_count() > left
+                or lack_out & ~tails[start] or lack_in & ~heads[start]):
+            return False
+        if not left:
+            return _closure_equals(h_succ, target)
+        for i in range(start, m - left + 1):
+            u, v = arc = optional[i]
+            h_succ[u] |= 1 << v
+            kept.append(arc)
+            if search(i + 1, left - 1, lack_out & ~(1 << u), lack_in & ~(1 << v)):
+                return True
+            h_succ[u] ^= 1 << v
+            kept.pop()
+        return False
+
+    for keep_count in range(max(0, mes_lower_bound(d) - len(mandatory)), m + 1):
+        if search(0, keep_count, need_out, need_in):
+            witness = tuple(sorted(mandatory + kept))
+            return ProblemSolution("minimum_equivalent_subgraph", witness, len(witness))
     raise AssertionError("unreachable: keeping every optional arc restores D")
 
 

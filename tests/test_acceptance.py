@@ -2,10 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
+import itertools
 import random
 from pathlib import Path
 
 from copwin.arena import INVISIBLE_LAZY, VISIBLE_FAST
+from copwin.bits import iter_bits
 from copwin.cli import main as cli_main
 from copwin.digraph import Digraph, bidirect, parse_edge_list
 from copwin.hardproblems import (
@@ -132,29 +134,72 @@ def _acyclic_succ(succ, n):
     return remaining == 0
 
 
+def _stepped_dags(n):
+    """Arc lists of the labeled DAGs on n vertices: every arc pattern, kept if acyclic."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for bits in range(1 << len(pairs)):
+        succ = [0] * n
+        b = bits
+        i = 0
+        while b:
+            if b & 1:
+                u, v = pairs[i]
+                succ[u] |= 1 << v
+            b >>= 1
+            i += 1
+        if _acyclic_succ(succ, n):
+            yield [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+
+
+def _peeled_dags(n):
+    """Arc lists of the labeled DAGs on n vertices, each once, by peeling sources.
+
+    A DAG's vertices with no in-arc form a non-empty set S.  Without S it
+    is a DAG on the rest R, and each vertex of R gets a set of in-arcs
+    from S, non-empty for the vertices with no in-arc inside R (else they
+    would have none at all).  S, the DAG on R and those sets determine
+    the DAG, so each comes out once (Robinson's count of labeled DAGs).
+    """
+    def pred_rows(mask):
+        if not mask:
+            yield (0,) * n
+            return
+        sources = mask
+        while sources:
+            froms = [0]
+            for s in iter_bits(sources):
+                froms += [f | 1 << s for f in froms]
+            rest = mask & ~sources
+            vs = list(iter_bits(rest))
+            for pred in pred_rows(rest):
+                for picks in itertools.product(*[froms if pred[v] else froms[1:] for v in vs]):
+                    row = list(pred)
+                    for v, p in zip(vs, picks):
+                        row[v] |= p
+                    yield tuple(row)
+            sources = (sources - 1) & mask
+
+    for pred in pred_rows((1 << n) - 1):
+        yield [(u, v) for v in range(n) for u in iter_bits(pred[v])]
+
+
 def test_criterion_3_acyclic_baseline():
-    checked = 0
+    for n in range(1, 5):
+        stepped = {frozenset(arcs) for arcs in _stepped_dags(n)}
+        assert {frozenset(arcs) for arcs in _peeled_dags(n)} == stepped, n
+    seen = set()
     for n in range(1, 6):
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        for bits in range(1 << len(pairs)):
-            succ = [0] * n
-            b = bits
-            i = 0
-            while b:
-                if b & 1:
-                    u, v = pairs[i]
-                    succ[u] |= 1 << v
-                b >>= 1
-                i += 1
-            if not _acyclic_succ(succ, n):
-                continue
-            d = Digraph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+        for arcs in _peeled_dags(n):
+            d = Digraph(n, arcs)
+            assert _acyclic_succ(d.succ_masks, n), d.arcs
+            seen.add(d)
             for variant in HEADLINE_VARIANTS:
                 for mono in (False, True):
                     assert cop_number(d, variant, mono).value == 1, (d.arcs, variant)
             assert directed_path_width(d).value == 0, d.arcs
-            checked += 1
-    _report(3, f"{checked} DAGs (1 <= n <= 5): cop number 1 everywhere, "
+    # distinct, acyclic and as many as there are: A003024 summed over n = 1..5
+    assert len(seen) == 1 + 3 + 25 + 543 + 29281 == 29853
+    _report(3, f"{len(seen)} DAGs (1 <= n <= 5): cop number 1 everywhere, "
                "directed path-width 0, exact")
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -298,11 +299,21 @@ def test_mes_lower_bound_examples():
     assert mes_lower_bound(d) == min_equivalent_subgraph(d).value == 5
 
 
-def test_mes_bidirected_k6():
-    k6 = bidirect(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-    sol = min_equivalent_subgraph(k6)
-    assert sol.value == 6 == mes_lower_bound(k6)
-    assert validate_mes_witness(k6, sol)
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_mes_bidirected_clique_is_first_hamiltonian_cycle(n):
+    # K_n is strongly connected with lower bound n, so an n-arc equivalent
+    # subgraph is strongly connected with one arc into and one out of each
+    # vertex: a Hamiltonian cycle.
+    # No arc of K_n is mandatory, and combinations order on the sorted arcs is
+    # the lexicographic order of the sorted arc tuples, so the witness is the
+    # smallest sorted arc tuple over every Hamiltonian cycle.
+    kn = bidirect(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    first = min(tuple(sorted(zip((0,) + tour, tour + (0,))))
+                for tour in itertools.permutations(range(1, n)))
+    sol = min_equivalent_subgraph(kn)
+    assert sol.value == n == mes_lower_bound(kn)
+    assert sol.witness == first
+    assert validate_mes_witness(kn, sol)
 
 
 def test_mes_validator_accepts_json_pairs_and_rejects_malformed_witnesses():

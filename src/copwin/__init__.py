@@ -16,6 +16,7 @@ from .arena import (  # noqa: F401
     VISIBLE_FAST_SCC,
     GameVariant,
 )
+from .certificates import Certificate, verify_certificate  # noqa: F401
 from .digraph import (  # noqa: F401
     Digraph,
     bidirect,
@@ -29,12 +30,4 @@ from .digraph import (  # noqa: F401
     to_edge_list,
     transitive_closure,
 )
-from .solver import (  # noqa: F401
-    Certificate,
-    Outcome,
-    Winner,
-    cop_number,
-    gap,
-    solve,
-    verify_certificate,
-)
+from .solver import Outcome, Winner, cop_number, gap, solve  # noqa: F401

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .arena import GameVariant
+from .certificates import Certificate, verify_certificate
 from .digraph import Digraph, fingerprint, parse_edge_list
 from .errors import (
     CertificateError,
@@ -41,14 +42,7 @@ from .hardproblems import (
     width_annotated_report,
 )
 from .reports import csv_line, rows_to_csv, rows_to_jsonl
-from .solver import (
-    DEFAULT_STATE_BUDGET,
-    Certificate,
-    cop_number,
-    gap,
-    solve,
-    verify_certificate,
-)
+from .solver import DEFAULT_STATE_BUDGET, cop_number, gap, solve
 from .width import width_by_name
 
 EXIT_OK = 0
@@ -61,6 +55,8 @@ STDOUT = "<stdout>"  # the name an OutputError gives standard output
 
 DEFAULT_SEED = 0
 DEFAULT_P = 0.3
+
+VARIANT_HELP = "game variant: visible | inert | invisible-fast | visible-fast-scc (default visible)"
 
 
 class UsageError(Exception):
@@ -94,8 +90,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def add_common(p, monotone=True):
-        p.add_argument("--variant", default="visible",
-                       help="game variant: visible | inert | invisible-fast (default visible)")
+        p.add_argument("--variant", default="visible", help=VARIANT_HELP)
         if monotone:
             p.add_argument("--monotone", action="store_true",
                            help="restrict the cops to monotone strategies")
@@ -125,7 +120,7 @@ def _build_parser():
     p.add_argument("graph")
 
     p = sub.add_parser("gapscan", help="scan instances for monotonicity gaps")
-    p.add_argument("--variant", default="visible")
+    p.add_argument("--variant", default="visible", help=VARIANT_HELP)
     p.add_argument("--n", type=int, default=None, help="vertex count for generated sources")
     p.add_argument("--exhaustive", action="store_true", help="all labeled digraphs on n vertices")
     p.add_argument("--random", type=_non_negative_int, default=None, metavar="COUNT",
@@ -215,6 +210,11 @@ def _output(path):
         f.close()
 
 
+def _write_certificate(path, cert):
+    with _writing(path):
+        Path(path).write_text(cert.to_json_text(), encoding="utf-8")
+
+
 def _emit(args, d, doc, text):
     """Print ``doc`` and the graph's fingerprint as one sorted JSON line
     under ``--json``, else the text line."""
@@ -242,10 +242,7 @@ def _cmd_copnum(args):
     variant = GameVariant.from_name(args.variant)
     res = cop_number(d, variant, args.monotone, args.state_budget)
     if args.emit_cert:
-        with _writing(args.emit_cert):
-            Path(args.emit_cert).write_text(
-                res.outcome.certificate.to_json_text(), encoding="utf-8"
-            )
+        _write_certificate(args.emit_cert, res.outcome.certificate)
     _emit(args, d, {
         "cop_number": res.value,
         "variant": variant.name,
@@ -325,8 +322,7 @@ def _cmd_gapscan(args):
                 path = None
                 if cert_dir is not None and cert is not None:
                     path = str(cert_dir / f"{rec.graph_id}.{rec.variant}.{which}.cert.json")
-                    with _writing(path):
-                        Path(path).write_text(cert.to_json_text(), encoding="utf-8")
+                    _write_certificate(path, cert)
                 row[f"certificate_{which}"] = path
             if args.format == "csv":
                 write(csv_line(row.get(f) for f in GAP_FIELDS))

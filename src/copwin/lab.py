@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .arena import GameVariant
+from .certificates import Certificate, verify_certificate
 from .digraph import Digraph, fingerprint, reach_mask
 from .errors import SizeLimitError, StateBudgetExceededError
-from .solver import DEFAULT_STATE_BUDGET, Certificate, gap, solve, verify_certificate
+from .solver import DEFAULT_STATE_BUDGET, gap, solve
 
 ENUMERATION_MAX_N = 5
 

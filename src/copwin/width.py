@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .arena import INVISIBLE_FAST, INVISIBLE_LAZY, VISIBLE_FAST
+from .certificates import Certificate
 from .digraph import Digraph
 from .errors import SizeLimitError
-from .solver import DEFAULT_STATE_BUDGET, Certificate, cop_number
+from .solver import DEFAULT_STATE_BUDGET, cop_number
 
 TREEWIDTH_MAX_N = 12
 

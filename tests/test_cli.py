@@ -175,7 +175,9 @@ def test_certify_tampered_cert_exit_4(capsys, tmp_path, c3_file):
     ("body", "xx"),
     ("monotone", "yes"),
     ("body", [[10**30]]),
-], ids=["variant-int", "k-str", "negative-id", "body-str", "monotone-str", "huge-id"])
+    ("tool_version", [1]),
+], ids=["variant-int", "k-str", "negative-id", "body-str", "monotone-str", "huge-id",
+        "tool-version-list"])
 def test_certify_malformed_field_exit_4(capsys, tmp_path, c3_file, key, value):
     cert = tmp_path / "cert.json"
     run_cli(capsys, "copnum", "--variant", "inert", "--emit-cert", str(cert), c3_file)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import os
 import random
 
@@ -20,7 +21,7 @@ from copwin.lab import (
     random_digraph,
 )
 from copwin.reports import rows_to_csv, rows_to_jsonl
-from copwin.solver import gap, solve, verify_certificate
+from copwin.solver import CopNumberResult, GapResult, gap, solve, verify_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +271,35 @@ def test_gap_scan_certifies_a_plain_value_that_gap_did_not_solve(variant):
         assert rec.status == "ok"
         assert rec.certificate_plain == solve(d, rec.copnum, variant).certificate
         assert verify_certificate(d, rec.certificate_plain)
+
+
+@pytest.mark.parametrize("truncate", [False, True], ids=["valid", "truncated"])
+def test_gap_scan_attests_a_positive_gap(monkeypatch, truncate):
+    # no digraph with n <= 5 has a gap, so a stand-in for gap reports
+    # plain 2 and monotone 3 on C3, with the real plain cop win at k = 2
+    # (its certificate truncated in the second case); the scan's own
+    # replay and its monotone retry at k = 2, a cop win, are real
+    c3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    plain = solve(c3, 2, VISIBLE_FAST)
+    if truncate:
+        cert = plain.certificate
+        plain = dataclasses.replace(
+            plain, certificate=dataclasses.replace(cert, body=cert.body[:-1]))
+    mono = solve(c3, 3, VISIBLE_FAST, monotone=True)
+    fake = GapResult(2, 3, 1, 1.5, CopNumberResult(2, plain), CopNumberResult(3, mono))
+    monkeypatch.setattr(lab, "gap", lambda *args, **kwargs: fake)
+    result = gap_scan([c3], VISIBLE_FAST)
+    rec = result.records[0]
+    assert (rec.copnum, rec.mon_copnum, rec.gap, rec.status) == (2, 3, 1, "gap-unconfirmed")
+    assert rec.attestation == {
+        "k": 2,
+        "plain_certificate_valid": not truncate,
+        "monotone_winner": "cops",
+        "monotone_states_explored":
+            solve(c3, 2, VISIBLE_FAST, monotone=True).states_explored,
+    }
+    assert rec.certificate_plain == plain.certificate
+    assert result.summary.gaps_positive == 1
 
 
 def test_gap_scan_budget_error_in_the_certificate_solve():

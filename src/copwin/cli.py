@@ -153,10 +153,11 @@ def _build_parser():
 
 
 def _read_text(path, error, name):
-    """The UTF-8 text of ``path``; a failure raises ``error``, and an
-    undecodable file is called ``name`` in its message."""
+    """The UTF-8 text of ``path``, its line ends untranslated; a failure
+    raises ``error``, and an undecodable file is called ``name`` in its
+    message."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -317,12 +318,13 @@ def _cmd_gapscan(args):
         def write_record(rec):
             # the certificates first, then the row that names them
             row = rec.to_row()
-            for which, cert in (("plain", rec.certificate_plain),
-                                ("monotone", rec.certificate_monotone)):
+            for which, outcome in (("plain", rec.plain_outcome),
+                                   ("monotone", rec.monotone_outcome)):
                 path = None
-                if cert_dir is not None and cert is not None:
+                if cert_dir is not None and outcome is not None:
+                    # read here, so a scan without --cert-dir builds no certificate
                     path = str(cert_dir / f"{rec.graph_id}.{rec.variant}.{which}.cert.json")
-                    _write_certificate(path, cert)
+                    _write_certificate(path, outcome.certificate)
                 row[f"certificate_{which}"] = path
             if args.format == "csv":
                 write(csv_line(row.get(f) for f in GAP_FIELDS))

@@ -131,19 +131,21 @@ MAX_VERTICES = 1 << 20
 
 
 def parse_edge_list(text: str) -> Digraph:
-    """Parse the line-oriented edge-list v1 format.
+    r"""Parse the line-oriented edge-list v1 format.
 
-    Comment lines start with ``#``.  An optional first non-comment line
-    ``n <count>`` declares the vertex count; otherwise it is inferred as
-    1 + the largest id seen (0 for an empty input).  Every other line is
-    one arc ``u v``.  Self-loops, duplicate arcs, ids at or above a
-    declared count, and counts or ids implying more than ``MAX_VERTICES``
-    vertices are hard errors.
+    Lines end at ``\n`` only; other whitespace, a trailing ``\r`` say,
+    separates fields.  Comment lines start with ``#``.  An
+    optional first non-comment line ``n <count>`` declares the vertex
+    count; otherwise it is inferred as 1 + the largest id seen (0 for an
+    empty input).  Every other line is one arc ``u v``.  Counts and ids
+    are ASCII decimal digits.  Self-loops, duplicate arcs, ids at or
+    above a declared count, and counts or ids implying more than
+    ``MAX_VERTICES`` vertices are hard errors.
     """
     declared_n = None
     limit = MAX_VERTICES  # ids must stay below it: the declared count, once read
     arcs = {}  # arc -> line number, in file order
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue
@@ -152,12 +154,12 @@ def parse_edge_list(text: str) -> Digraph:
                 raise EdgeListParseError("header 'n <count>' must be the first data line", line_no)
             if len(parts) != 2:
                 raise EdgeListParseError(f"malformed header {raw.strip()!r}", line_no)
-            try:
-                declared_n = int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(f"malformed vertex count {parts[1]!r}", line_no) from None
-            if declared_n < 0:
-                raise EdgeListParseError("vertex count must be non-negative", line_no)
+            count = parts[1]
+            if not _decimal(count):
+                raise EdgeListParseError(
+                    "vertex count must be non-negative" if _decimal(count.removeprefix("-"))
+                    else f"malformed vertex count {count!r}", line_no)
+            declared_n = int(count)
             if declared_n > MAX_VERTICES:
                 raise EdgeListParseError(
                     f"vertex count {declared_n} exceeds the limit of {MAX_VERTICES}", line_no
@@ -166,24 +168,33 @@ def parse_edge_list(text: str) -> Digraph:
             continue
         if len(parts) != 2:
             raise EdgeListParseError(f"malformed arc line {raw.strip()!r}", line_no)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(f"malformed arc line {raw.strip()!r}", line_no) from None
-        if u == v or not (0 <= u < limit and 0 <= v < limit):
-            raise EdgeListParseError(_arc_fault(u, v, declared_n, raw.strip()), line_no)
+        a, b = parts
+        # int() also takes '+1', '1_0' and non-ASCII digits: ids are [0-9]+
+        # (on an ASCII line isdigit alone is exact)
+        if not (raw.isascii() and a.isdigit() and b.isdigit()) and not (
+            _decimal(a) and _decimal(b)
+        ):
+            signed = all(_decimal(p.removeprefix("-")) for p in parts)
+            fault = "negative vertex id in" if signed else "malformed arc line"
+            raise EdgeListParseError(f"{fault} {raw.strip()!r}", line_no)
+        u, v = int(a), int(b)
+        if u == v or not (u < limit and v < limit):
+            raise EdgeListParseError(_arc_fault(u, v, declared_n), line_no)
         if arcs.setdefault((u, v), line_no) != line_no:
             raise EdgeListParseError(f"duplicate arc ({u},{v})", line_no)
     n = declared_n if declared_n is not None else max(map(max, arcs), default=-1) + 1
     return Digraph(n, arcs)
 
 
-def _arc_fault(u, v, declared_n, line):
-    """What is wrong with the arc ``u v``, a self-loop or an id out of
-    range: a negative id first, then a self-loop, then an id at or above
-    the declared count, then one above the vertex limit."""
-    if u < 0 or v < 0:
-        return f"negative vertex id in {line!r}"
+def _decimal(token):
+    """Whether ``token`` is ASCII decimal digits, ``[0-9]+``."""
+    return token.isascii() and token.isdigit()
+
+
+def _arc_fault(u, v, declared_n):
+    """What is wrong with the arc ``u v`` of two non-negative ids, a
+    self-loop or an id out of range: a self-loop first, then an id at or
+    above the declared count, then one above the vertex limit."""
     if u == v:
         return f"self-loop ({u},{v}) forbidden (digraphs are simple)"
     if declared_n is not None:

@@ -3,7 +3,9 @@
 ``gap_scan`` is the empirical instrument for witnessing monotonicity
 costs: it records plain and monotone cop numbers per instance, and any
 positive gap ships with a verified non-monotone certificate plus a
-reproduced monotone failure at the same cop count.
+reproduced monotone failure at the same cop count.  A record keeps the
+cop-win solves at both numbers, and a certificate is built from one
+only when it is read: a scan that writes no certificates builds none.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .arena import GameVariant
 from .certificates import Certificate, verify_certificate
 from .digraph import Digraph, fingerprint, reach_mask
 from .errors import SizeLimitError, StateBudgetExceededError
-from .solver import DEFAULT_STATE_BUDGET, gap, solve
+from .solver import DEFAULT_STATE_BUDGET, Outcome, gap, solve
 
 ENUMERATION_MAX_N = 5
 
@@ -172,9 +174,17 @@ class GapRecord:
     ratio: Optional[float]
     runtime_ms: int
     status: str
-    certificate_plain: Optional[Certificate] = None
-    certificate_monotone: Optional[Certificate] = None
+    plain_outcome: Optional[Outcome] = None
+    monotone_outcome: Optional[Outcome] = None
     attestation: Optional[dict] = None
+
+    @property
+    def certificate_plain(self) -> Optional[Certificate]:
+        return None if self.plain_outcome is None else self.plain_outcome.certificate
+
+    @property
+    def certificate_monotone(self) -> Optional[Certificate]:
+        return None if self.monotone_outcome is None else self.monotone_outcome.certificate
 
     def to_row(self) -> dict:
         return {field: getattr(self, field) for field in GAP_FIELDS}
@@ -241,8 +251,8 @@ def _scan_one(variant, state_budget, measure_runtime, task):
         gid, d.n, d.m, variant.name,
         res.cop_number, res.monotone_cop_number, res.gap, res.ratio,
         elapsed, status,
-        certificate_plain=plain.certificate,
-        certificate_monotone=res.monotone.outcome.certificate,
+        plain_outcome=plain,
+        monotone_outcome=res.monotone.outcome,
         attestation=attestation,
     )
 

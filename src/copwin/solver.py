@@ -9,15 +9,18 @@ StateBudgetExceededError, never a silent robber verdict.
 
 On a cop win the kernels return the certificate's content: the visible
 kernel its strategy on exactly the positions play reaches from the
-starts, the invisible kernel its move sequence.  ``solve`` passes
-either, untouched, to ``Certificate.from_kernel``; the ``certificates``
-module owns the format and its replay.
+starts, the invisible kernel its move sequence.  ``solve`` keeps either,
+untouched, in its ``Outcome``, and ``Outcome.certificate`` passes it to
+``Certificate.from_kernel`` when first read, so a verdict-only caller
+builds no certificate; the ``certificates`` module owns the format and
+its replay.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import engine
@@ -38,13 +41,25 @@ class Winner(enum.Enum):
 
 @dataclass(frozen=True)
 class Outcome:
+    """A solve's winner and transition count.
+
+    On a cop win ``kernel_win`` holds the solve's ``(d, k, variant,
+    monotone)`` and the kernel's raw win (the visible strategy map or
+    the invisible mask sequence); ``certificate`` is built from it on
+    first read and kept.  A robber win reads None.
+    """
+
     winner: Winner
-    certificate: Optional[Certificate]
     states_explored: int
+    kernel_win: Optional[tuple] = field(default=None, repr=False, hash=False)
 
     @property
     def cops_win(self) -> bool:
         return self.winner is Winner.COPS
+
+    @functools.cached_property
+    def certificate(self) -> Optional[Certificate]:
+        return None if self.kernel_win is None else Certificate.from_kernel(*self.kernel_win)
 
 
 @dataclass(frozen=True)
@@ -74,7 +89,7 @@ def solve(
     monotone: bool = False,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Outcome:
-    """Decide the winner with k cops; certificate attached to cop wins."""
+    """Decide the winner with k cops; a cop win's certificate is built when read."""
     if not 0 <= k <= d.n:
         raise ValueError(f"cop budget {k} outside 0..{d.n}")
     # refuse obviously hopeless instances before any work
@@ -102,9 +117,8 @@ def solve(
             d.succ_masks, d.pred_masks, d.n, k, lazy, monotone, state_budget
         )
     if not cops_win:
-        return Outcome(Winner.ROBBER, None, transitions)
-    cert = Certificate.from_kernel(d, k, variant, monotone, won)
-    return Outcome(Winner.COPS, cert, transitions)
+        return Outcome(Winner.ROBBER, transitions)
+    return Outcome(Winner.COPS, transitions, (d, k, variant, monotone, won))
 
 
 def cop_number(

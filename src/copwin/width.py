@@ -15,7 +15,7 @@ from .arena import INVISIBLE_FAST, INVISIBLE_LAZY, VISIBLE_FAST
 from .certificates import Certificate
 from .digraph import Digraph
 from .errors import SizeLimitError
-from .solver import DEFAULT_STATE_BUDGET, cop_number
+from .solver import DEFAULT_STATE_BUDGET, Outcome, cop_number
 
 TREEWIDTH_MAX_N = 12
 
@@ -28,7 +28,12 @@ class WidthReport:
     monotone: bool
     offset: int
     cop_number: int
-    certificate: Optional[Certificate]
+    outcome: Outcome
+
+    @property
+    def certificate(self) -> Optional[Certificate]:
+        """The monotone cop win's certificate, built on first read."""
+        return self.outcome.certificate
 
     def describe(self) -> str:
         off = f"{self.offset:+d}" if self.offset else "+0"
@@ -47,7 +52,7 @@ def _game_width(d, measure, variant, offset, state_budget):
         monotone=True,
         offset=offset,
         cop_number=res.value,
-        certificate=res.outcome.certificate,
+        outcome=res.outcome,
     )
 
 

@@ -1,7 +1,20 @@
 import ast
+import pickle
 from pathlib import Path
 
-from copwin import certificates, solver
+import pytest
+
+from copwin import certificates, cli, solver
+from copwin.arena import SUPPORTED_VARIANTS, VISIBLE_FAST
+from copwin.digraph import Digraph, bidirect
+from copwin.hardproblems import width_annotated_report
+from copwin.lab import enumerate_digraphs, gap_scan, random_digraph
+from copwin.solver import gap, solve, verify_certificate
+from copwin.width import dag_width, kelly_width
+
+C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+GRID3 = bidirect(9, [(v, w) for v in range(9) for w in (v + 1, v + 3)
+                     if w < 9 and (w == v + 3 or v % 3 < 2)])
 
 
 def test_certificates_import_no_solving_code():
@@ -26,3 +39,66 @@ def test_certificates_import_no_solving_code():
 def test_solver_binds_the_one_verifier():
     assert solver.verify_certificate is certificates.verify_certificate
     assert solver.Certificate is certificates.Certificate
+
+
+def _refuse_certificates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a certificate was built")
+
+    monkeypatch.setattr(certificates.Certificate, "from_kernel", staticmethod(refuse))
+
+
+@pytest.mark.parametrize("variant", SUPPORTED_VARIANTS, ids=lambda v: v.name)
+def test_verdicts_build_no_certificate(monkeypatch, variant, tmp_path):
+    # verdict-only callers finish, with their usual answers, when no
+    # certificate can be built
+    graphs = [C3, GRID3, random_digraph(5, 0.4, 7)]
+    gaps = [gap(d, variant) for d in graphs]
+    widths = [(dag_width(d).value, kelly_width(d).value) for d in graphs]
+    rows = width_annotated_report([(str(i), d) for i, d in enumerate(graphs)])
+    _refuse_certificates(monkeypatch)
+    assert [gap(d, variant) for d in graphs] == gaps
+    assert [(dag_width(d).value, kelly_width(d).value) for d in graphs] == widths
+    assert width_annotated_report([(str(i), d) for i, d in enumerate(graphs)]) == rows
+    dropped = []
+    summary = gap_scan(enumerate_digraphs(3), variant, sink=dropped.append).summary
+    assert (summary.instances, summary.solved, len(dropped)) == (64, 64, 64)
+    out = tmp_path / "scan.csv"
+    args = ["gapscan", "--variant", variant.name, "--exhaustive", "--n", "3", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert len(out.read_text().splitlines()) == 65
+
+
+@pytest.mark.parametrize("variant", SUPPORTED_VARIANTS, ids=lambda v: v.name)
+@pytest.mark.parametrize("monotone", [False, True], ids=["plain", "monotone"])
+def test_certificate_built_once_when_read(monkeypatch, variant, monotone):
+    built = []
+    build = certificates.Certificate.from_kernel
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(certificates.Certificate, "from_kernel", staticmethod(counting))
+    assert solve(C3, 1, variant, monotone).certificate is None
+    out = solve(C3, 2, variant, monotone)
+    assert out.cops_win and built == []
+    cert = out.certificate
+    assert out.certificate is cert and len(built) == 1
+    assert built[0] == out.kernel_win == (C3, 2, variant, monotone, out.kernel_win[-1])
+    assert cert == build(*out.kernel_win)
+    assert verify_certificate(C3, cert)
+    # an unread outcome crosses a process boundary and builds the same bytes there
+    again = pickle.loads(pickle.dumps(solve(C3, 2, variant, monotone)))
+    assert again.certificate.to_json_text() == cert.to_json_text()
+    assert len(built) == 2
+
+
+def test_holders_read_through_to_their_outcome():
+    rep = dag_width(C3)
+    assert rep.certificate is rep.outcome.certificate
+    rec = gap_scan([C3], VISIBLE_FAST).records[0]
+    assert rec.certificate_plain is rec.plain_outcome.certificate
+    assert rec.certificate_monotone is rec.monotone_outcome.certificate
+    assert rec.certificate_plain == solve(C3, 2, VISIBLE_FAST).certificate
+    assert rec.certificate_monotone == solve(C3, 2, VISIBLE_FAST, monotone=True).certificate

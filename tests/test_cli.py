@@ -442,6 +442,19 @@ def test_parse_error_exit_2(capsys, tmp_path):
         assert err == "parse error: " + message
 
 
+def test_graph_file_lines_end_at_newline(capsys, tmp_path):
+    # the file is read without newline translation: CRLF line ends parse,
+    # and a lone CR stays inside its line as whitespace
+    crlf = tmp_path / "crlf.edges"
+    crlf.write_bytes(C3_TEXT.replace("\n", "\r\n").encode())
+    assert run_cli(capsys, "copnum", str(crlf)) == (0, "2\n", "")
+    cr = tmp_path / "cr.edges"
+    cr.write_bytes(b"n 3\n0 1\r1 2\n2 2\n")
+    code, out, err = run_cli(capsys, "copnum", str(cr))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 2: malformed arc line '0 1\\r1 2'\n"
+
+
 def test_gapscan_random_size_limit_exit_1(capsys):
     # the first graph is drawn before the header, so nothing is written
     code, out, err = run_cli(capsys, "gapscan", "--random", "1", "--n", "513")

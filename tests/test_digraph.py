@@ -108,6 +108,22 @@ def test_parse_malformed_line_rejected():
     ("  # note\n\t0 1  \n0 1 # c\n", 3, "malformed arc line '0 1 # c'"),
     ("0 1\nn 2\n", 2, "header 'n <count>' must be the first data line"),
     ("n 2\n0 1\n1 0\n0 1\n3 3\n", 4, "duplicate arc (0,1)"),
+    # ids and counts are [0-9]+, though int() takes more
+    ("n 11\n0 1_0\n", 2, "malformed arc line '0 1_0'"),
+    ("n 3\n+1 2\n", 2, "malformed arc line '+1 2'"),
+    ("n 3\n0 \u0661\n", 2, "malformed arc line '0 \u0661'"),
+    ("n \u0663\n0 1\n", 1, "malformed vertex count '\u0663'"),
+    ("n +3\n0 1\n", 1, "malformed vertex count '+3'"),
+    ("n 0_3\n0 1\n", 1, "malformed vertex count '0_3'"),
+    ("n -3\n", 1, "vertex count must be non-negative"),
+    ("n 3\n0 -1\n", 2, "negative vertex id in '0 -1'"),
+    ("n 3\n1 -x\n", 2, "malformed arc line '1 -x'"),
+    # lines end at \n only: other line breaks of str.splitlines stay inside
+    # their line, and a trailing \r is whitespace
+    *((f"n 3\n0 1{sep}1 2\n2 2\n", 2, "malformed arc line " + repr(f"0 1{sep}1 2"))
+      for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r"),
+    ("0 1\x1c1 2", 1, "malformed arc line '0 1\\x1c1 2'"),
+    ("n 3\r\n0 1\r\n1 1\r\n", 3, "self-loop (1,1) forbidden (digraphs are simple)"),
 ])
 def test_parse_names_the_first_fault(text, line_no, message):
     # the first faulty line in file order, with the message of its first

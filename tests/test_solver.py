@@ -269,7 +269,7 @@ def test_gap_descent_finds_a_plain_value_below_monotone(monkeypatch, plain, mono
     # win from k = plain in plain play and from k = mono in monotone play
     def fake(d, k, variant, monotone, state_budget):
         won = k >= (mono if monotone else plain)
-        return Outcome(Winner.COPS if won else Winner.ROBBER, None, k)
+        return Outcome(Winner.COPS if won else Winner.ROBBER, k)
 
     calls = _counting_solve(monkeypatch, fake)
     k5 = bidirect(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])

@@ -1,4 +1,13 @@
-"""Formal game mechanics for cops-and-robber games on digraphs.
+"""The four games and their mechanics, for cops and robber on digraphs.
+
+copwin plays four games, one ``GameVariant`` each, listed once in the
+table ``_GAMES`` by name and three flags: whether the robber is
+visible, whether he is lazy (moves only when a cop is about to land on
+his vertex) or fast, and whether a run is confined to his strong
+component.  ``from_name`` also accepts the aliases ``visible``,
+``inert`` and ``dpw``.  The move rules below are the semantics the
+certificate verifier replays; the solving kernels implement them
+independently.
 
 Conventions (fixed once, used by solver and verifier alike):
 
@@ -12,60 +21,43 @@ Conventions (fixed once, used by solver and verifier alike):
   a cop is about to land on his vertex; the invisible fast robber always
   runs.  Contamination is the set of vertices the invisible robber could
   occupy; empty contamination is a cop win.
+* Under strong confinement the visible robber also lands only in his own
+  strong component of D - (C & C').
 * Monotonicity is robber-monotonicity: the robber's territory (visible)
   or the contaminated set (invisible) never grows along a play.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .digraph import Digraph, reach_mask
 from .errors import UnsupportedVariantError
 
-
-class Visibility(enum.Enum):
-    VISIBLE = "visible"
-    INVISIBLE = "invisible"
-
-
-class Agility(enum.Enum):
-    FAST = "fast"
-    LAZY = "lazy"
-
-
-class Confinement(enum.Enum):
-    REACHABILITY = "reachability"
-    STRONG_COMPONENT = "strong-component"
+# the four games, by name: (visible, lazy, strong)
+_GAMES = {
+    "visible-fast": (True, False, False),
+    "invisible-lazy": (False, True, False),
+    # directed path-width game; extension beyond the two headline variants
+    "invisible-fast": (False, False, False),
+    # optional extension approximating the directed tree-width game
+    "visible-fast-scc": (True, False, True),
+}
 
 
 @dataclass(frozen=True)
 class GameVariant:
-    """A supported combination of visibility, agility, and robber confinement."""
+    """One of the four games, a row of ``_GAMES``; any other name and flags are refused."""
 
-    visibility: Visibility
-    agility: Agility
-    confinement: Confinement = Confinement.REACHABILITY
+    name: str
+    visible: bool
+    lazy: bool
+    strong: bool
 
     def __post_init__(self):
-        key = (self.visibility, self.agility, self.confinement)
-        if key not in _SUPPORTED:
+        if _GAMES.get(self.name) != (self.visible, self.lazy, self.strong):
             raise UnsupportedVariantError(
-                f"unsupported game variant {self.describe()}; supported: "
-                + ", ".join(sorted(v.describe() for v in SUPPORTED_VARIANTS))
+                f"unsupported game variant {self}; supported: " + ", ".join(sorted(_GAMES))
             )
-
-    @property
-    def name(self) -> str:
-        base = f"{self.visibility.value}-{self.agility.value}"
-        if self.confinement is Confinement.STRONG_COMPONENT:
-            base += "-scc"
-        return base
-
-    def describe(self) -> str:
-        return (
-            f"({self.visibility.value}, {self.agility.value}, {self.confinement.value})"
-        )
 
     @staticmethod
     def from_name(name: str) -> "GameVariant":
@@ -73,27 +65,12 @@ class GameVariant:
             return _NAMED[name.lower()]
         except KeyError:
             raise UnsupportedVariantError(
-                f"unknown variant {name!r}; one of: " + ", ".join(sorted(set(_NAMED)))
+                f"unknown variant {name!r}; one of: " + ", ".join(sorted(_NAMED))
             ) from None
 
 
-_SUPPORTED = {
-    (Visibility.VISIBLE, Agility.FAST, Confinement.REACHABILITY),
-    (Visibility.INVISIBLE, Agility.LAZY, Confinement.REACHABILITY),
-    # directed path-width game; extension beyond the two headline variants
-    (Visibility.INVISIBLE, Agility.FAST, Confinement.REACHABILITY),
-    # optional extension approximating the directed tree-width game
-    (Visibility.VISIBLE, Agility.FAST, Confinement.STRONG_COMPONENT),
-}
-
-VISIBLE_FAST = GameVariant(Visibility.VISIBLE, Agility.FAST)
-INVISIBLE_LAZY = GameVariant(Visibility.INVISIBLE, Agility.LAZY)
-INVISIBLE_FAST = GameVariant(Visibility.INVISIBLE, Agility.FAST)
-VISIBLE_FAST_SCC = GameVariant(
-    Visibility.VISIBLE, Agility.FAST, Confinement.STRONG_COMPONENT
-)
-
-SUPPORTED_VARIANTS = (VISIBLE_FAST, INVISIBLE_LAZY, INVISIBLE_FAST, VISIBLE_FAST_SCC)
+SUPPORTED_VARIANTS = tuple(GameVariant(name, *flags) for name, flags in _GAMES.items())
+VISIBLE_FAST, INVISIBLE_LAZY, INVISIBLE_FAST, VISIBLE_FAST_SCC = SUPPORTED_VARIANTS
 
 _NAMED = {
     "visible": VISIBLE_FAST,

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from . import __version__
-from .arena import (
-    Agility,
-    Confinement,
-    GameVariant,
-    Visibility,
-    contaminate_mask,
-    robber_options_mask,
-)
+from .arena import GameVariant, contaminate_mask, robber_options_mask
 from .bits import iter_bits, mask_from, mask_to_tuple
 from .digraph import Digraph, fingerprint, reach_mask
 from .errors import CertificateError, UnsupportedVariantError
@@ -65,7 +58,7 @@ class Certificate:
         masks.  It is trusted as the kernel's output: only converted to
         vertex tuples (the positional entries sorted), not validated.
         """
-        if variant.visibility is Visibility.VISIBLE:
+        if variant.visible:
             kind = "positional"
             body = tuple(sorted(
                 (mask_to_tuple(c), r, mask_to_tuple(mv)) for (c, r), mv in won.items()
@@ -96,7 +89,8 @@ class Certificate:
         """Parse and schema-check a certificate; any defect is a CertificateError."""
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        # ValueError also covers the integers json refuses as too long
+        except (ValueError, RecursionError) as exc:
             raise CertificateError(f"certificate is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
             raise CertificateError("unrecognized certificate format")
@@ -183,7 +177,7 @@ def verify_certificate(d: Digraph, cert: Certificate) -> VerificationResult:
     variant = GameVariant.from_name(cert.variant)
     if not 0 <= cert.k <= d.n:
         raise CertificateError(f"cop budget {cert.k} outside 0..{d.n}")
-    if variant.visibility is Visibility.VISIBLE:
+    if variant.visible:
         if cert.kind != "positional":
             raise CertificateError("visible-game certificate must be positional")
         return _verify_positional(d, cert, variant)
@@ -193,7 +187,6 @@ def verify_certificate(d: Digraph, cert: Certificate) -> VerificationResult:
 
 
 def _verify_positional(d, cert, variant):
-    strong = variant.confinement is Confinement.STRONG_COMPONENT
     strategy: Dict[Tuple[int, int], int] = {}
     for cops, robber, move in cert.body:
         # range-check before building masks: 1 << id must stay small
@@ -221,7 +214,7 @@ def _verify_positional(d, cert, variant):
                 f"no move recorded for reachable position ({mask_to_tuple(cmask)},{r})"
             )
         move = strategy[key]
-        opts = robber_options_mask(d, cmask, move, r, strong=strong)
+        opts = robber_options_mask(d, cmask, move, r, strong=variant.strong)
         if cert.monotone:
             old_space = reach_mask(d.succ_masks, 1 << r, cmask)
             for r2 in iter_bits(opts):
@@ -268,7 +261,6 @@ def _verify_positional(d, cert, variant):
 
 def _verify_sequence(d, cert, variant):
     full = d.full_mask
-    lazy = variant.agility is Agility.LAZY
     r_mask = full
     c_mask = 0
     for i, move in enumerate(cert.body):
@@ -277,7 +269,7 @@ def _verify_sequence(d, cert, variant):
         mmask = mask_from(move)
         if len(move) > cert.k:
             return VerificationResult(False, f"move {i} exceeds budget k={cert.k}")
-        new_r = contaminate_mask(d, c_mask, mmask, r_mask, lazy)
+        new_r = contaminate_mask(d, c_mask, mmask, r_mask, variant.lazy)
         if cert.monotone and new_r & ~r_mask:
             return VerificationResult(
                 False,

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from .bits import iter_bits
+from .bits import iter_bits, mask_from
 from .digraph import (
     Digraph,
     acyclic_mask,
@@ -217,14 +217,17 @@ def min_feedback_arc_set(d: Digraph) -> ProblemSolution:
     succ = list(d.succ_masks)
     pred = list(d.pred_masks)
     kept = [0] * d.n  # per vertex, in-arcs that may not be deleted
-    value = budget = _backward_arc_number(succ, pred, kept, None)
+    # every cycle runs through vertices with an in-arc and an out-arc:
+    # at most m of them, however large n is
+    core = mask_from(u for u, _ in d.arcs) & mask_from(v for _, v in d.arcs)
+    value = budget = _backward_arc_number(succ, pred, kept, core, None)
     witness = []
     for u, v in d.arcs:
         if not budget:
             break
         succ[u] ^= 1 << v
         pred[v] ^= 1 << u
-        if _backward_arc_number(succ, pred, kept, budget - 1) is not None:
+        if _backward_arc_number(succ, pred, kept, core, budget - 1) is not None:
             witness.append((u, v))
             budget -= 1
         else:
@@ -234,18 +237,21 @@ def min_feedback_arc_set(d: Digraph) -> ProblemSolution:
     return ProblemSolution("feedback_arc_set", tuple(witness), value)
 
 
-def _backward_arc_number(succ, pred, kept, limit):
+def _backward_arc_number(succ, pred, kept, core, limit):
     """Fewest deletable backward arcs over orderings that keep every
     ``kept`` arc forward, or None if that exceeds ``limit`` (None: no limit).
 
-    An arc between two strong components is forward in some optimal
-    ordering, so each cyclic component is ordered on its own.  Without
-    a limit, a component's bound is raised from 0 until its DP succeeds.
+    Every cycle lies inside ``core``: a vertex outside it lacks an in-arc
+    or an out-arc, so no cycle, and no path between two other vertices,
+    runs through it, and the strong components of D[core] include every
+    one of D that holds an arc.  An arc between two
+    strong components is forward in some optimal ordering, so each
+    cyclic component is ordered on its own.  Without a limit, a
+    component's bound is raised from 0 until its DP succeeds.
     """
-    n = len(succ)
-    rows = [reach_mask(succ, 1 << v, 0) for v in range(n)]
+    rows = {v: reach_mask(succ, 1 << v, ~core) for v in iter_bits(core)}
     total = 0
-    for comp in component_masks(rows, (1 << n) - 1):
+    for comp in component_masks(rows, core):
         if comp & (comp - 1) == 0:  # one vertex: no arc inside
             continue
         bound = 0 if limit is None else limit - total

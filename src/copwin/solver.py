@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import engine
-from .arena import Agility, Confinement, GameVariant, Visibility
+from .arena import GameVariant
 from .bits import subsets_of_size, subsets_upto
 # verify_certificate stays bound here: perfbench traces solver.verify_certificate
 from .certificates import Certificate, verify_certificate  # noqa: F401
@@ -94,14 +94,10 @@ def solve(
         raise ValueError(f"cop budget {k} outside 0..{d.n}")
     # refuse obviously hopeless instances before any work
     move_count = sum(math.comb(d.n, i) for i in range(k + 1))
-    if variant.visibility is Visibility.VISIBLE:
-        arena_bound = move_count * d.n * move_count
-    else:
-        arena_bound = move_count
+    arena_bound = move_count * d.n * move_count if variant.visible else move_count
     if d.n > 0 and arena_bound > state_budget:
         raise StateBudgetExceededError(state_budget, 0, bound=arena_bound)
-    if variant.visibility is Visibility.VISIBLE:
-        strong = variant.confinement is Confinement.STRONG_COMPONENT
+    if variant.visible:
         if monotone or k == 0:
             moves = subsets_upto(d.n, k)
         else:
@@ -109,12 +105,11 @@ def solve(
             # (engine: "Full-size moves in plain visible play")
             moves = [0] + subsets_of_size(d.n, k)
         cops_win, won, transitions = engine.solve_visible(
-            d.succ_masks, d.n, moves, monotone, strong, state_budget
+            d.succ_masks, d.n, moves, monotone, variant.strong, state_budget
         )
     else:
-        lazy = variant.agility is Agility.LAZY
         cops_win, won, transitions = engine.solve_invisible(
-            d.succ_masks, d.pred_masks, d.n, k, lazy, monotone, state_budget
+            d.succ_masks, d.pred_masks, d.n, k, variant.lazy, monotone, state_budget
         )
     if not cops_win:
         return Outcome(Winner.ROBBER, transitions)

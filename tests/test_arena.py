@@ -9,10 +9,7 @@ from copwin.arena import (
     INVISIBLE_LAZY,
     SUPPORTED_VARIANTS,
     VISIBLE_FAST,
-    Agility,
-    Confinement,
     GameVariant,
-    Visibility,
     contaminate_mask,
     robber_options_mask,
 )
@@ -55,13 +52,35 @@ def test_supported_variant_names():
 
 
 def test_unsupported_variants_rejected():
+    # GameVariant(name, visible, lazy, strong): only the four rows of the table
     with pytest.raises(UnsupportedVariantError):
-        GameVariant(Visibility.VISIBLE, Agility.LAZY)
+        GameVariant("visible-lazy", True, True, False)
     with pytest.raises(UnsupportedVariantError):
-        GameVariant(Visibility.INVISIBLE, Agility.LAZY, Confinement.STRONG_COMPONENT)
+        GameVariant("invisible-lazy-scc", False, True, True)
     with pytest.raises(UnsupportedVariantError):
-        GameVariant(Visibility.INVISIBLE, Agility.FAST, Confinement.STRONG_COMPONENT)
+        GameVariant("invisible-fast-scc", False, False, True)
+    # a supported name with another game's flags, or a name outside the table
     with pytest.raises(UnsupportedVariantError):
+        GameVariant("visible-fast", True, False, True)
+    with pytest.raises(UnsupportedVariantError):
+        GameVariant("visible", True, False, False)
+    with pytest.raises(UnsupportedVariantError):
+        GameVariant.from_name("nonsense")
+
+
+def test_variant_table():
+    assert [(v.name, v.visible, v.lazy, v.strong) for v in SUPPORTED_VARIANTS] == [
+        ("visible-fast", True, False, False),
+        ("invisible-lazy", False, True, False),
+        ("invisible-fast", False, False, False),
+        ("visible-fast-scc", True, False, True),
+    ]
+    assert GameVariant("invisible-lazy", False, True, False) == INVISIBLE_LAZY
+    for name in ("visible", "visible-fast", "inert", "invisible-lazy",
+                 "invisible-fast", "dpw", "visible-fast-scc"):
+        assert GameVariant.from_name(name.upper()) in SUPPORTED_VARIANTS
+    with pytest.raises(UnsupportedVariantError, match="one of: dpw, inert, invisible-fast, "
+                       "invisible-lazy, visible, visible-fast, visible-fast-scc$"):
         GameVariant.from_name("nonsense")
 
 

@@ -1,15 +1,20 @@
 import ast
+import json
 import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copwin import certificates, cli, solver
 from copwin.arena import SUPPORTED_VARIANTS, VISIBLE_FAST
+from copwin.certificates import Certificate, VerificationResult
 from copwin.digraph import Digraph, bidirect
+from copwin.errors import CertificateError
 from copwin.hardproblems import width_annotated_report
 from copwin.lab import enumerate_digraphs, gap_scan, random_digraph
-from copwin.solver import gap, solve, verify_certificate
+from copwin.solver import cop_number, gap, solve, verify_certificate
 from copwin.width import dag_width, kelly_width
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -102,3 +107,81 @@ def test_holders_read_through_to_their_outcome():
     assert rec.certificate_monotone is rec.monotone_outcome.certificate
     assert rec.certificate_plain == solve(C3, 2, VISIBLE_FAST).certificate
     assert rec.certificate_monotone == solve(C3, 2, VISIBLE_FAST, monotone=True).certificate
+
+
+# ---------------------------------------------------------------------------
+# hostile certificates
+# ---------------------------------------------------------------------------
+
+# a 4-cycle with a chord: strongly connected, cop number 2 in every game
+FUZZ_GRAPH = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
+FUZZ_DOCS = [
+    json.loads(cop_number(FUZZ_GRAPH, variant, monotone).outcome.certificate.to_json_text())
+    for variant in SUPPORTED_VARIANTS for monotone in (False, True)
+]
+
+JUNK = st.one_of(
+    st.integers(-2, 5),
+    st.sampled_from([2**63, -(2**64), 10**300, -(2**2000)]),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["positional", "sequence", "visible", "inert", "dpw", "copwin-certificate/1"]),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-1, 5), max_size=4),
+    st.recursive(st.integers(-1, 4), lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+)
+
+
+def _paths(node, path=()):
+    """Every place in a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def test_fuzz_documents_verify():
+    assert len(FUZZ_DOCS) == 8
+    for doc in FUZZ_DOCS:
+        cert = Certificate.from_json_text(json.dumps(doc))
+        assert verify_certificate(FUZZ_GRAPH, cert)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.sampled_from(range(len(FUZZ_DOCS))), st.data())
+def test_certificate_loader_fuzz(index, data):
+    # a mutated certificate either replays to a VerificationResult or is
+    # refused with a CertificateError; nothing else escapes
+    doc = json.loads(json.dumps(FUZZ_DOCS[index]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        drop = path and data.draw(st.booleans())
+        value = None if drop else data.draw(JUNK)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if drop:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        result = verify_certificate(FUZZ_GRAPH, Certificate.from_json_text(json.dumps(doc)))
+    except CertificateError:
+        return
+    assert isinstance(result, VerificationResult)
+
+
+def test_certificate_loader_refuses_overlong_numbers():
+    # json refuses integers of more than 4,300 digits with a bare ValueError
+    text = '{"format": "copwin-certificate/1", "k": ' + "7" * 5000 + "}"
+    with pytest.raises(CertificateError, match="not valid JSON"):
+        Certificate.from_json_text(text)

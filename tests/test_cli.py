@@ -262,6 +262,35 @@ def test_gapscan_exhaustive_csv(capsys):
     assert "scanned 4 instances" in err
 
 
+def test_gapscan_timings_fill_only_runtime(capsys):
+    # --timings fills runtime_ms with a non-negative int and changes
+    # nothing else: with runtime_ms set to 0 the rows are the untimed rows
+    base = ["gapscan", "--exhaustive", "--n", "3"]
+    _, plain, _ = run_cli(capsys, *base, "--format", "jsonl")
+    code, timed, _ = run_cli(capsys, *base, "--format", "jsonl", "--timings")
+    assert code == 0
+    timed_rows = [json.loads(line) for line in timed.splitlines()]
+    assert len(timed_rows) == 64
+    for row in timed_rows:
+        assert type(row["runtime_ms"]) is int and row["runtime_ms"] >= 0
+        row["runtime_ms"] = 0
+    assert timed_rows == [json.loads(line) for line in plain.splitlines()]
+    _, plain_csv, _ = run_cli(capsys, *base)
+    code, timed_csv, _ = run_cli(capsys, *base, "--timings")
+    assert code == 0
+    header, *rows = timed_csv.splitlines()
+    assert header == plain_csv.splitlines()[0] == (
+        "graph_id,n,m,variant,copnum,mon_copnum,gap,ratio,runtime_ms,status")
+    at = header.split(",").index("runtime_ms")
+    zeroed = []
+    for row in rows:
+        cells = row.split(",")
+        assert cells[at].isdigit()
+        cells[at] = "0"
+        zeroed.append(",".join(cells))
+    assert zeroed == plain_csv.splitlines()[1:]
+
+
 def test_gapscan_random_jsonl(capsys):
     code, out, _ = run_cli(capsys, "gapscan", "--variant", "inert", "--n", "3",
                            "--random", "5", "--p", "0.4", "--seed", "7",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copwin import hardproblems
 from copwin.digraph import Digraph, bidirect, is_acyclic, scc
 from copwin.errors import SizeLimitError
 from copwin.hardproblems import (
@@ -236,6 +237,19 @@ def test_fas_orders_each_strong_component_alone():
     d = Digraph(200, [(i, (i + 1) % 10) for i in range(10)])
     sol = min_feedback_arc_set(d)
     assert (sol.value, sol.witness) == (1, ((0, 1),))
+
+
+def test_fas_reaches_only_from_vertices_on_some_cycle(monkeypatch):
+    # only vertices with an in-arc and an out-arc can lie on a cycle; a
+    # reach row for each of the other 998 vertices, on each of the m + 1
+    # solves of the witness loop, made the solve quadratic in n
+    calls = []
+    real = hardproblems.reach_mask
+    monkeypatch.setattr(hardproblems, "reach_mask",
+                        lambda *args: calls.append(args) or real(*args))
+    sol = min_feedback_arc_set(Digraph(1000, [(0, 1), (1, 0)]))
+    assert (sol.value, sol.witness) == (1, ((0, 1),))
+    assert len(calls) <= 2 * 3  # two rows, at most m + 1 = 3 solves
 
 
 def test_fas_size_limits():

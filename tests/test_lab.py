@@ -337,6 +337,23 @@ def test_gap_record_invariants_on_scan():
         assert rec.graph_id == graph_id_of(Digraph(2, []))[:12] or rec.m > 0
 
 
+@pytest.mark.parametrize("state_budget", [None, 60])
+def test_gap_scan_measure_runtime_fills_only_runtime(state_budget):
+    # timed records differ from untimed ones only in runtime_ms, a
+    # non-negative int, on solved and budget-exceeded rows alike
+    graphs = list(enumerate_digraphs(3))
+    budget = {} if state_budget is None else {"state_budget": state_budget}
+    timed = gap_scan(graphs, VISIBLE_FAST, measure_runtime=True, **budget)
+    untimed = gap_scan(graphs, VISIBLE_FAST, **budget)
+    assert all(type(r.runtime_ms) is int and r.runtime_ms >= 0 for r in timed.records)
+    assert [dataclasses.replace(r, runtime_ms=0).to_row() for r in timed.records] == [
+        r.to_row() for r in untimed.records]
+    assert all(r.runtime_ms == 0 for r in untimed.records)
+    assert timed.summary == untimed.summary
+    statuses = {r.status for r in timed.records}
+    assert statuses == ({"ok"} if state_budget is None else {"ok", "budget-exceeded"})
+
+
 def test_csv_headers_match_contract():
     text = rows_to_csv(GAP_FIELDS, [])
     assert text == "graph_id,n,m,variant,copnum,mon_copnum,gap,ratio,runtime_ms,status\n"

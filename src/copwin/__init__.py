@@ -19,15 +19,11 @@ from .arena import (  # noqa: F401
 from .certificates import Certificate, verify_certificate  # noqa: F401
 from .digraph import (  # noqa: F401
     Digraph,
-    bidirect,
-    delete_arcs,
     fingerprint,
     induced_subgraph,
     is_acyclic,
     parse_edge_list,
-    reach,
     scc,
     to_edge_list,
-    transitive_closure,
 )
 from .solver import Outcome, Winner, cop_number, gap, solve  # noqa: F401

@@ -15,16 +15,6 @@ def mask_from(vertices: Iterable[int]) -> int:
     return m
 
 
-def mask_to_tuple(mask: int) -> tuple:
-    """Set bits of ``mask`` as an ascending tuple of vertex ids."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask

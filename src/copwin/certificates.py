@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from . import __version__
 from .arena import GameVariant, contaminate_mask, robber_options_mask
-from .bits import iter_bits, mask_from, mask_to_tuple
+from .bits import iter_bits, mask_from
 from .digraph import Digraph, fingerprint, reach_mask
 from .errors import CertificateError, UnsupportedVariantError
 
@@ -61,11 +61,11 @@ class Certificate:
         if variant.visible:
             kind = "positional"
             body = tuple(sorted(
-                (mask_to_tuple(c), r, mask_to_tuple(mv)) for (c, r), mv in won.items()
+                (tuple(iter_bits(c)), r, tuple(iter_bits(mv))) for (c, r), mv in won.items()
             ))
         else:
             kind = "sequence"
-            body = tuple(mask_to_tuple(c) for c in won)
+            body = tuple(tuple(iter_bits(c)) for c in won)
         return Certificate(variant.name, k, monotone, fingerprint(d), kind, body)
 
     def to_json_text(self) -> str:
@@ -211,7 +211,7 @@ def _verify_positional(d, cert, variant):
         cmask, r = key
         if key not in strategy:
             return None, (
-                f"no move recorded for reachable position ({mask_to_tuple(cmask)},{r})"
+                f"no move recorded for reachable position ({tuple(iter_bits(cmask))},{r})"
             )
         move = strategy[key]
         opts = robber_options_mask(d, cmask, move, r, strong=variant.strong)
@@ -220,8 +220,8 @@ def _verify_positional(d, cert, variant):
             for r2 in iter_bits(opts):
                 if reach_mask(d.succ_masks, 1 << r2, move) & ~old_space:
                     return None, (
-                        f"non-monotone step at ({mask_to_tuple(cmask)},{r}) -> "
-                        f"({mask_to_tuple(move)},{r2})"
+                        f"non-monotone step at ({tuple(iter_bits(cmask))},{r}) -> "
+                        f"({tuple(iter_bits(move))},{r2})"
                     )
         return [(move, r2) for r2 in iter_bits(opts)], None
 
@@ -249,7 +249,7 @@ def _verify_positional(d, cert, variant):
             if nxt in path:
                 return VerificationResult(
                     False,
-                    f"strategy loops at position ({mask_to_tuple(nxt[0])},{nxt[1]})",
+                    f"strategy loops at position ({tuple(iter_bits(nxt[0]))},{nxt[1]})",
                 )
             succs, fail = open_position(nxt)
             if fail:
@@ -273,12 +273,12 @@ def _verify_sequence(d, cert, variant):
         if cert.monotone and new_r & ~r_mask:
             return VerificationResult(
                 False,
-                f"move {i} recontaminates {mask_to_tuple(new_r & ~r_mask)}",
+                f"move {i} recontaminates {tuple(iter_bits(new_r & ~r_mask))}",
             )
         r_mask = new_r
         c_mask = mmask
     if r_mask:
         return VerificationResult(
-            False, f"contamination {mask_to_tuple(r_mask)} left after the last move"
+            False, f"contamination {tuple(iter_bits(r_mask))} left after the last move"
         )
     return VerificationResult(True)

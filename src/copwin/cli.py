@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, width
 from .arena import GameVariant
 from .certificates import Certificate, verify_certificate
 from .digraph import Digraph, fingerprint, parse_edge_list
@@ -43,7 +43,6 @@ from .hardproblems import (
 )
 from .reports import csv_line, rows_to_csv, rows_to_jsonl
 from .solver import DEFAULT_STATE_BUDGET, cop_number, gap, solve
-from .width import width_by_name
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,7 +113,7 @@ def _build_parser():
     p.add_argument("graph")
 
     p = sub.add_parser("width", help="game-characterized width measures")
-    p.add_argument("--measure", required=True, choices=["dagwidth", "kellywidth", "dpw"])
+    p.add_argument("--measure", required=True, choices=width.WIDTHS)
     p.add_argument("--state-budget", type=_non_negative_int, default=DEFAULT_STATE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.add_argument("graph")
@@ -270,7 +269,7 @@ def _cmd_gap(args):
 
 def _cmd_width(args):
     d = _load_graph(args.graph)
-    report = width_by_name(args.measure)(d, args.state_budget)
+    report = getattr(width, width.WIDTHS[args.measure])(d, args.state_budget)
     _emit(args, d, {
         "measure": report.measure,
         "value": report.value,
@@ -338,7 +337,7 @@ def _cmd_gapscan(args):
         first = list(itertools.islice(graphs, 1))
         if args.format == "csv":
             write(csv_line(GAP_FIELDS))
-        result = gap_scan(
+        s = gap_scan(
             itertools.chain(first, graphs),
             variant,
             state_budget=args.state_budget,
@@ -346,7 +345,6 @@ def _cmd_gapscan(args):
             measure_runtime=args.timings,
             sink=write_record,
         )
-    s = result.summary
     print(
         f"scanned {s.instances} instances: {s.gaps_positive} gaps > 0, "
         f"max gap {s.max_gap}, max ratio {s.max_ratio!r}, {s.errors} errors",

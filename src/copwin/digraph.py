@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, FrozenSet, Iterable, Tuple
 
-from .bits import iter_bits, mask_from
+from .bits import iter_bits
 from .errors import EdgeListParseError
 
 
@@ -79,18 +79,8 @@ class Digraph:
         return self._pred
 
     @property
-    def vertices(self) -> range:
-        return range(self._n)
-
-    @property
     def full_mask(self) -> int:
         return (1 << self._n) - 1
-
-    def out_neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(iter_bits(self._succ[v]))
-
-    def in_neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(iter_bits(self._pred[v]))
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self._arc_set
@@ -128,6 +118,9 @@ def _check_arcs(n, arcs):
 # Largest vertex count a file may declare or imply: a count is read before
 # any arc, and a Digraph allocates per-vertex tables for it.
 MAX_VERTICES = 1 << 20
+# Digits of MAX_VERTICES: a count or id with more, leading zeros aside, is
+# out of range, and int() refuses one of more than 4,300 digits outright.
+_MAX_DIGITS = len(str(MAX_VERTICES))
 
 
 def parse_edge_list(text: str) -> Digraph:
@@ -159,12 +152,12 @@ def parse_edge_list(text: str) -> Digraph:
                 raise EdgeListParseError(
                     "vertex count must be non-negative" if _decimal(count.removeprefix("-"))
                     else f"malformed vertex count {count!r}", line_no)
-            declared_n = int(count)
-            if declared_n > MAX_VERTICES:
+            count = count.lstrip("0") or "0"
+            if len(count) > _MAX_DIGITS or int(count) > MAX_VERTICES:
                 raise EdgeListParseError(
-                    f"vertex count {declared_n} exceeds the limit of {MAX_VERTICES}", line_no
+                    f"vertex count {count} exceeds the limit of {MAX_VERTICES}", line_no
                 )
-            limit = declared_n
+            declared_n = limit = int(count)
             continue
         if len(parts) != 2:
             raise EdgeListParseError(f"malformed arc line {raw.strip()!r}", line_no)
@@ -177,6 +170,10 @@ def parse_edge_list(text: str) -> Digraph:
             signed = all(_decimal(p.removeprefix("-")) for p in parts)
             fault = "negative vertex id in" if signed else "malformed arc line"
             raise EdgeListParseError(f"{fault} {raw.strip()!r}", line_no)
+        if len(a) > _MAX_DIGITS or len(b) > _MAX_DIGITS:
+            a, b = a.lstrip("0") or "0", b.lstrip("0") or "0"
+            if len(a) > _MAX_DIGITS or len(b) > _MAX_DIGITS:
+                raise EdgeListParseError(_arc_fault(a, b, declared_n), line_no)
         u, v = int(a), int(b)
         if u == v or not (u < limit and v < limit):
             raise EdgeListParseError(_arc_fault(u, v, declared_n), line_no)
@@ -192,9 +189,10 @@ def _decimal(token):
 
 
 def _arc_fault(u, v, declared_n):
-    """What is wrong with the arc ``u v`` of two non-negative ids, a
-    self-loop or an id out of range: a self-loop first, then an id at or
-    above the declared count, then one above the vertex limit."""
+    """What is wrong with the arc ``u v`` of two non-negative ids (ints,
+    or digit strings without leading zeros), a self-loop or an id out of
+    range: a self-loop first, then an id at or above the declared count,
+    then one above the vertex limit."""
     if u == v:
         return f"self-loop ({u},{v}) forbidden (digraphs are simple)"
     if declared_n is not None:
@@ -232,19 +230,6 @@ def reach_mask(succ, src: int, forbidden: int) -> int:
         frontier = nxt & ~forbidden & ~closed
         closed |= frontier
     return closed
-
-
-def reach(d: Digraph, sources: Iterable[int], forbidden: Iterable[int] = ()) -> FrozenSet[int]:
-    """All u outside ``forbidden`` with a path from some non-forbidden source in D - forbidden.
-
-    Sources count as reachable (length-0 paths); the result is closed
-    under out-arcs avoiding ``forbidden``.
-    """
-    src = mask_from(sources)
-    forb = mask_from(forbidden)
-    _check_subset(d, src, "sources")
-    _check_subset(d, forb, "forbidden")
-    return frozenset(iter_bits(reach_mask(d.succ_masks, src, forb)))
 
 
 def component_masks(rows, active: int):
@@ -317,38 +302,6 @@ def induced_subgraph(d: Digraph, x: Iterable[int]) -> Tuple[Digraph, Dict[int, i
     return Digraph(len(xs), arcs), relabel
 
 
-def delete_arcs(d: Digraph, arcs: Iterable[Tuple[int, int]]) -> Digraph:
-    """Same vertex set, arcs(D) minus the given arcs; missing arcs are an error."""
-    drop = set()
-    for arc in arcs:
-        arc = (arc[0], arc[1])
-        if arc not in d.arc_set:
-            raise ValueError(f"arc {arc} not present")
-        drop.add(arc)
-    return Digraph(d.n, (a for a in d.arcs if a not in drop))
-
-
-def bidirect(n: int, edges: Iterable[Tuple[int, int]]) -> Digraph:
-    """Digraph with both arcs (u,v),(v,u) for each undirected edge {u,v}."""
-    arcs = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop {{{u},{v}}} not allowed")
-        arcs.add((u, v))
-        arcs.add((v, u))
-    return Digraph(n, sorted(arcs))
-
-
-def transitive_closure(d: Digraph) -> Tuple[FrozenSet[int], ...]:
-    """Row u = {v : u = v or u has a path to v}; reflexive by convention."""
-    return tuple(frozenset(iter_bits(row)) for row in closure_masks(d))
-
-
 def closure_masks(d: Digraph) -> Tuple[int, ...]:
-    """transitive_closure as row bit masks (reflexive)."""
+    """Row u = {v : u = v or u has a path to v} as a bit mask (reflexive)."""
     return tuple(reach_mask(d.succ_masks, 1 << u, 0) for u in range(d.n))
-
-
-def _check_subset(d: Digraph, mask: int, what: str) -> None:
-    if mask & ~d.full_mask:
-        raise ValueError(f"{what} contains vertices outside V(D)")

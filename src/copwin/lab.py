@@ -15,11 +15,11 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from .arena import GameVariant
-from .certificates import Certificate, verify_certificate
-from .digraph import Digraph, fingerprint, reach_mask
+from .certificates import verify_certificate
+from .digraph import Digraph, fingerprint
 from .errors import SizeLimitError, StateBudgetExceededError
 from .solver import DEFAULT_STATE_BUDGET, Outcome, gap, solve
 
@@ -79,86 +79,6 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
 
 
 # ---------------------------------------------------------------------------
-# Undirected connected graphs up to isomorphism (for the tree-width
-# cross-check); canonical forms via color refinement plus minimization
-# over color-preserving relabelings.
-# ---------------------------------------------------------------------------
-
-def _refined_colors(n, adj):
-    colors = [len(adj[v]) for v in range(n)]
-    for _ in range(n):
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
-        ]
-        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [rank[keys[v]] for v in range(n)]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def canonical_graph_key(n: int, edges) -> tuple:
-    """Isomorphism-invariant canonical edge tuple of an undirected graph."""
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    colors = _refined_colors(n, adj)
-    classes: Dict[int, List[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]
-    best = None
-    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        pos = {}
-        i = 0
-        for block in arrangement:
-            for old in block:
-                pos[old] = i
-                i += 1
-        key = tuple(sorted(
-            (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
-            for u, v in edges
-        ))
-        if best is None or key < best:
-            best = key
-    return (n, best if best is not None else ())
-
-
-def enumerate_connected_graphs(n: int) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
-    """Connected undirected graphs on n vertices, one per isomorphism class."""
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    if n > 6:
-        raise SizeLimitError(f"connected-graph enumeration handles n <= 6, got {n}")
-    if n == 0:
-        return []
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    reps = []
-    seen = set()
-    for bits in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
-        if not _connected_undirected(n, edges):
-            continue
-        key = canonical_graph_key(n, edges)
-        if key not in seen:
-            seen.add(key)
-            reps.append((n, key[1]))
-    return reps
-
-
-def _connected_undirected(n, edges):
-    if n == 0:
-        return False
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return reach_mask(adj, 1, 0) == (1 << n) - 1
-
-
-# ---------------------------------------------------------------------------
 # Gap scanning
 # ---------------------------------------------------------------------------
 
@@ -178,14 +98,6 @@ class GapRecord:
     monotone_outcome: Optional[Outcome] = None
     attestation: Optional[dict] = None
 
-    @property
-    def certificate_plain(self) -> Optional[Certificate]:
-        return None if self.plain_outcome is None else self.plain_outcome.certificate
-
-    @property
-    def certificate_monotone(self) -> Optional[Certificate]:
-        return None if self.monotone_outcome is None else self.monotone_outcome.certificate
-
     def to_row(self) -> dict:
         return {field: getattr(self, field) for field in GAP_FIELDS}
 
@@ -198,12 +110,6 @@ class GapScanSummary:
     gaps_positive: int
     max_gap: int
     max_ratio: float
-
-
-@dataclass(frozen=True)
-class GapScanResult:
-    records: Tuple[GapRecord, ...]
-    summary: GapScanSummary
 
 
 GraphSource = Iterable[Union[Digraph, Tuple[str, Digraph]]]
@@ -291,9 +197,11 @@ def gap_scan(
     state_budget: int = DEFAULT_STATE_BUDGET,
     jobs: int = 1,
     measure_runtime: bool = False,
-    sink: Optional[Callable[[GapRecord], None]] = None,
-) -> GapScanResult:
-    """One GapRecord per instance, in source order, plus a summary.
+    *,
+    sink: Callable[[GapRecord], None],
+) -> GapScanSummary:
+    """Hand ``sink`` one GapRecord per instance, in source order, and
+    return the summary.
 
     Per-instance budget errors are recorded in-row and the scan
     continues.  Records are merged in source order regardless of worker
@@ -303,26 +211,21 @@ def gap_scan(
 
     The source is read lazily: a serial scan draws each graph when its
     record is due, and ``jobs > 1`` draws ``SCAN_WINDOW`` graphs ahead
-    at most.  With a ``sink``, each record is handed to it as soon as it
-    is made and none is kept: ``records`` is empty and only the summary
-    remains, so a scan runs in bounded memory however long its source.
+    at most.  Each record is handed to ``sink`` as soon as it is made and
+    none is kept, so a scan runs in bounded memory however long its
+    source.
     """
-    records = []
     instances = solved = gaps_positive = max_gap = 0
     max_ratio = 1.0
     for rec in _scan_records(graphs, variant, state_budget, jobs, measure_runtime):
-        if sink is None:
-            records.append(rec)
-        else:
-            sink(rec)
+        sink(rec)
         instances += 1
         if rec.status != "budget-exceeded":
             solved += 1
             gaps_positive += rec.gap > 0
             max_gap = max(max_gap, rec.gap)
             max_ratio = max(max_ratio, rec.ratio)
-    summary = GapScanSummary(
+    return GapScanSummary(
         instances, solved, instances - solved, gaps_positive, max_gap, max_ratio
     )
-    return GapScanResult(tuple(records), summary)
 

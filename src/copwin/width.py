@@ -9,10 +9,9 @@ the other side of the bidirected cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from .arena import INVISIBLE_FAST, INVISIBLE_LAZY, VISIBLE_FAST
-from .certificates import Certificate
 from .digraph import Digraph
 from .errors import SizeLimitError
 from .solver import DEFAULT_STATE_BUDGET, Outcome, cop_number
@@ -29,18 +28,6 @@ class WidthReport:
     offset: int
     cop_number: int
     outcome: Outcome
-
-    @property
-    def certificate(self) -> Optional[Certificate]:
-        """The monotone cop win's certificate, built on first read."""
-        return self.outcome.certificate
-
-    def describe(self) -> str:
-        off = f"{self.offset:+d}" if self.offset else "+0"
-        return (
-            f"{self.measure} = {self.value} "
-            f"(monotone {self.variant} cop number {self.cop_number} {off})"
-        )
 
 
 def _game_width(d, measure, variant, offset, state_budget):
@@ -84,18 +71,10 @@ def directed_path_width(d: Digraph, state_budget: int = DEFAULT_STATE_BUDGET) ->
     return _game_width(d, "directed-path-width", INVISIBLE_FAST, -1, state_budget)
 
 
-def width_by_name(name: str):
-    try:
-        return {
-            "dagwidth": dag_width,
-            "dag-width": dag_width,
-            "kellywidth": kelly_width,
-            "kelly-width": kelly_width,
-            "dpw": directed_path_width,
-            "directed-path-width": directed_path_width,
-        }[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown width measure {name!r}") from None
+# The measures by their names on the command line, each to the name of
+# its function here.  ``cli`` looks the function up when it runs, so a
+# wrapper bound to that name later (perfbench's tracer) is the one called.
+WIDTHS = {"dagwidth": "dag_width", "kellywidth": "kelly_width", "dpw": "directed_path_width"}
 
 
 # ---------------------------------------------------------------------------

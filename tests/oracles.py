@@ -14,11 +14,14 @@ the reference for the kernel's one-vertex moves and eliminations;
 ``subset_dp_hamiltonian``, the one-int-per-set Hamiltonian DP, the
 reference for the bit-sliced table; and ``naive_min_equivalent_subgraph``,
 the equivalent-subgraph search from size 0, the reference for the
-lower-bounded start.
+lower-bounded start.  ``bidirect`` and the connected undirected graphs
+up to isomorphism (``enumerate_connected_graphs``, by color refinement
+and ``canonical_graph_key``) feed the tree-width cross-checks.
 """
 import itertools
 
-from copwin.errors import StateBudgetExceededError
+from copwin.digraph import Digraph
+from copwin.errors import SizeLimitError, StateBudgetExceededError
 
 
 def set_reach(arcs, sources, forbidden):
@@ -132,6 +135,94 @@ def naive_treewidth(n, edges):
             del adj[v]
         best = min(best, width)
     return best
+
+
+def bidirect(n, edges):
+    """Digraph with both arcs (u,v),(v,u) for each undirected edge {u,v}."""
+    arcs = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop {{{u},{v}}} not allowed")
+        arcs.add((u, v))
+        arcs.add((v, u))
+    return Digraph(n, sorted(arcs))
+
+
+def _refined_colors(n, adj):
+    colors = [len(adj[v]) for v in range(n)]
+    for _ in range(n):
+        keys = [
+            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
+        ]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new = [rank[keys[v]] for v in range(n)]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def canonical_graph_key(n, edges):
+    """Isomorphism-invariant canonical edge tuple of an undirected graph:
+    color refinement, then the least edge tuple over the relabelings
+    that keep the color classes in order."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    colors = _refined_colors(n, adj)
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    blocks = [classes[c] for c in sorted(classes)]
+    best = None
+    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        pos = {}
+        i = 0
+        for block in arrangement:
+            for old in block:
+                pos[old] = i
+                i += 1
+        key = tuple(sorted(
+            (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
+            for u, v in edges
+        ))
+        if best is None or key < best:
+            best = key
+    return (n, best if best is not None else ())
+
+
+def enumerate_connected_graphs(n):
+    """Connected undirected graphs on n vertices, one (n, edges) per
+    isomorphism class."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > 6:
+        raise SizeLimitError(f"connected-graph enumeration handles n <= 6, got {n}")
+    if n == 0:
+        return []
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    reps = []
+    seen = set()
+    for bits in range(1 << len(pairs)):
+        edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+        if not _connected_undirected(n, edges):
+            continue
+        key = canonical_graph_key(n, edges)
+        if key not in seen:
+            seen.add(key)
+            reps.append((n, key[1]))
+    return reps
+
+
+def _connected_undirected(n, edges):
+    if n == 0:
+        return False
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _reach_mask(adj, 1, 0) == (1 << n) - 1
 
 
 def enumerate_arc_lists(n):

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from copwin import certificates, cli, solver
 from copwin.arena import SUPPORTED_VARIANTS, VISIBLE_FAST
 from copwin.certificates import Certificate, VerificationResult
-from copwin.digraph import Digraph, bidirect
+from copwin.digraph import Digraph
 from copwin.errors import CertificateError
 from copwin.hardproblems import width_annotated_report
 from copwin.lab import enumerate_digraphs, gap_scan, random_digraph
 from copwin.solver import cop_number, gap, solve, verify_certificate
 from copwin.width import dag_width, kelly_width
+from oracles import bidirect
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 GRID3 = bidirect(9, [(v, w) for v in range(9) for w in (v + 1, v + 3)
@@ -66,7 +67,7 @@ def test_verdicts_build_no_certificate(monkeypatch, variant, tmp_path):
     assert [(dag_width(d).value, kelly_width(d).value) for d in graphs] == widths
     assert width_annotated_report([(str(i), d) for i, d in enumerate(graphs)]) == rows
     dropped = []
-    summary = gap_scan(enumerate_digraphs(3), variant, sink=dropped.append).summary
+    summary = gap_scan(enumerate_digraphs(3), variant, sink=dropped.append)
     assert (summary.instances, summary.solved, len(dropped)) == (64, 64, 64)
     out = tmp_path / "scan.csv"
     args = ["gapscan", "--variant", variant.name, "--exhaustive", "--n", "3", "--out", str(out)]
@@ -100,13 +101,15 @@ def test_certificate_built_once_when_read(monkeypatch, variant, monotone):
 
 
 def test_holders_read_through_to_their_outcome():
-    rep = dag_width(C3)
-    assert rep.certificate is rep.outcome.certificate
-    rec = gap_scan([C3], VISIBLE_FAST).records[0]
-    assert rec.certificate_plain is rec.plain_outcome.certificate
-    assert rec.certificate_monotone is rec.monotone_outcome.certificate
-    assert rec.certificate_plain == solve(C3, 2, VISIBLE_FAST).certificate
-    assert rec.certificate_monotone == solve(C3, 2, VISIBLE_FAST, monotone=True).certificate
+    # a width report and a scan record hold the cop-win solves, whose
+    # certificates are those of a fresh solve
+    mono = solve(C3, 2, VISIBLE_FAST, monotone=True).certificate
+    assert dag_width(C3).outcome.certificate == mono
+    records = []
+    gap_scan([C3], VISIBLE_FAST, sink=records.append)
+    (rec,) = records
+    assert rec.plain_outcome.certificate == solve(C3, 2, VISIBLE_FAST).certificate
+    assert rec.monotone_outcome.certificate == mono
 
 
 # ---------------------------------------------------------------------------

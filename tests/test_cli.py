@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,12 +8,15 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copwin import engine
 from copwin.arena import VISIBLE_FAST
 from copwin.bits import subsets_upto
 from copwin.cli import main
-from copwin.digraph import to_edge_list
+from copwin.digraph import parse_edge_list, to_edge_list
+from copwin.errors import EdgeListParseError
 from copwin.lab import enumerate_digraphs, graph_id_of, random_digraph
 from oracles import naive_solve_visible
 
@@ -77,6 +82,11 @@ def test_width_measures(capsys, c3_file):
         code, out, _ = run_cli(capsys, "width", "--measure", measure, c3_file)
         assert code == 0
         assert out == expected + "\n"
+    code, out, err = run_cli(capsys, "width", "--measure", "dag-width", c3_file)
+    assert (code, out) == (1, "")
+    # the choices are the CLI's three names, in their order
+    assert err.startswith("usage error: argument --measure: invalid choice")
+    assert err.index("dagwidth") < err.index("kellywidth") < err.index("dpw")
 
 
 def test_certify_round_trip(capsys, tmp_path, c3_file):
@@ -463,12 +473,61 @@ def test_parse_error_exit_2(capsys, tmp_path):
          "line 1: vertex count 300000000 exceeds the limit of 1048576\n"),
         ("huge_id.edges", "0 1\n0 1000000000\n",
          "line 2: vertex id in (0,1000000000) exceeds the limit of 1048576 vertices\n"),
+        # more digits than int() converts
+        ("long_id.edges", "n 3\n0 " + "1" * 5000 + "\n",
+         "line 2: vertex id in (0," + "1" * 5000 + ") exceeds declared count 3\n"),
+        ("long_n.edges", "n " + "1" * 5000 + "\n",
+         "line 1: vertex count " + "1" * 5000 + " exceeds the limit of 1048576\n"),
     ):
         path = tmp_path / name
         path.write_text(text)
         code, out, err = run_cli(capsys, "copnum", str(path))
         assert code == 2 and out == ""
         assert err == "parse error: " + message
+    # leading zeros alone make no id too long
+    zeros = tmp_path / "zeros.edges"
+    zeros.write_text("0" * 5000 + "1 2\n")
+    assert run_cli(capsys, "copnum", str(zeros)) == (0, "1\n", "")
+
+
+# Edge-list lines from fields that parse, fields that do not, and digit
+# runs on both sides of the 4,300 digits int() converts; a run's value,
+# leading zeros aside, is a digit or too large, so every graph is small
+EDGE_LIST_FIELDS = st.one_of(
+    st.sampled_from(["n", "#", "0", "1", "2", "3", "5", "00", "0003", "-1", "+1",
+                     "1_0", "\u0661", "x", "99999999"]),
+    st.builds(lambda zeros, digit, count: "0" * zeros + digit * count,
+              st.sampled_from([0, 2, 5000]), st.sampled_from("0159"),
+              st.sampled_from([1, 4300, 4301, 5000])),
+)
+EDGE_LIST_TEXTS = st.lists(
+    st.lists(EDGE_LIST_FIELDS, max_size=3).map(" ".join), max_size=6,
+).flatmap(lambda lines: st.sampled_from(["\n", "\r\n", "\x0c"]).map(
+    lambda end: end.join(lines)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=EDGE_LIST_TEXTS)
+def test_edge_list_fuzz_parses_or_exits_2(tmp_path_factory, text):
+    # a text parses to a graph that round-trips, or is a parse error; the
+    # CLI answers the first with exit 0 and the second with exit 2 and
+    # nothing on stdout, never with exit 1
+    try:
+        d = parse_edge_list(text)
+    except EdgeListParseError:
+        d = None
+    else:
+        assert parse_edge_list(to_edge_list(d)) == d
+    path = tmp_path_factory.getbasetemp() / "fuzz.edges"
+    path.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["copnum", str(path)])
+    if d is None:
+        assert (code, out.getvalue()) == (2, ""), text
+        assert err.getvalue().startswith("parse error: line ")
+    else:
+        assert (code, err.getvalue()) == (0, ""), text
 
 
 def test_graph_file_lines_end_at_newline(capsys, tmp_path):

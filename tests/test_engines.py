@@ -10,7 +10,7 @@ import pytest
 
 from copwin import engine
 from copwin.arena import VISIBLE_FAST, VISIBLE_FAST_SCC
-from copwin.bits import mask_to_tuple, subsets_upto
+from copwin.bits import iter_bits, subsets_upto
 from copwin.digraph import Digraph, fingerprint
 from copwin.errors import StateBudgetExceededError
 from copwin.solver import Certificate, solve, verify_certificate
@@ -269,7 +269,7 @@ def _check_invisible(n, arcs, ks):
                         monotone=mono,
                         graph_sha256=fingerprint(d),
                         kind="sequence",
-                        body=tuple(mask_to_tuple(c) for c in seq),
+                        body=tuple(tuple(iter_bits(c)) for c in seq),
                     )
                     assert verify_certificate(d, cert).valid, where
 

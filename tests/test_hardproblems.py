@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copwin import hardproblems
-from copwin.digraph import Digraph, bidirect, is_acyclic, scc
+from copwin.digraph import Digraph, is_acyclic, scc
 from copwin.errors import SizeLimitError
 from copwin.hardproblems import (
     HAMILTONIAN_MAX_N,
@@ -29,6 +29,7 @@ from copwin.hardproblems import (
 from copwin.lab import enumerate_digraphs, random_digraph
 from copwin.reports import rows_to_csv
 from oracles import (
+    bidirect,
     naive_min_equivalent_subgraph,
     naive_min_feedback_arc_set,
     subset_dp_hamiltonian,

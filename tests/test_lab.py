@@ -6,7 +6,7 @@ import random
 import pytest
 
 from copwin.arena import INVISIBLE_LAZY, SUPPORTED_VARIANTS, VISIBLE_FAST
-from copwin.bits import mask_to_tuple
+from copwin.bits import iter_bits
 from copwin.digraph import Digraph, fingerprint
 from copwin.errors import SizeLimitError
 from copwin import lab
@@ -14,8 +14,6 @@ from copwin.lab import (
     GAP_FIELDS,
     GapRecord,
     GapScanSummary,
-    canonical_graph_key,
-    enumerate_connected_graphs,
     enumerate_digraphs,
     gap_scan,
     graph_id_of,
@@ -23,6 +21,14 @@ from copwin.lab import (
 )
 from copwin.reports import rows_to_csv, rows_to_jsonl
 from copwin.solver import CopNumberResult, GapResult, gap, solve, verify_certificate
+from oracles import canonical_graph_key, enumerate_connected_graphs
+
+
+def scan(graphs, variant, **kwargs):
+    """``gap_scan`` with a sink that keeps the records: (records, summary)."""
+    records = []
+    summary = gap_scan(graphs, variant, sink=records.append, **kwargs)
+    return records, summary
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +87,7 @@ def test_random_digraph_validates_p():
 
 
 # ---------------------------------------------------------------------------
-# connected undirected graphs up to isomorphism
+# connected undirected graphs up to isomorphism (the test oracle)
 # ---------------------------------------------------------------------------
 
 def test_connected_graph_class_counts():
@@ -119,11 +125,11 @@ def test_canonical_key_separates_non_isomorphic():
 # ---------------------------------------------------------------------------
 
 def test_gap_scan_all_n3_visible_gap_free():
-    result = gap_scan(list(enumerate_digraphs(3)), VISIBLE_FAST)
-    assert result.summary.instances == 64
-    assert result.summary.gaps_positive == 0
-    assert result.summary.errors == 0
-    assert all(r.gap == 0 and r.ratio == 1.0 and r.status == "ok" for r in result.records)
+    records, summary = scan(list(enumerate_digraphs(3)), VISIBLE_FAST)
+    assert summary.instances == 64
+    assert summary.gaps_positive == 0
+    assert summary.errors == 0
+    assert all(r.gap == 0 and r.ratio == 1.0 and r.status == "ok" for r in records)
 
 
 def test_gap_scan_sink_streams_records_and_drops_certificates():
@@ -138,16 +144,14 @@ def test_gap_scan_sink_streams_records_and_drops_certificates():
     def sink(rec):
         seen.append((len(consumed), rec))
 
-    result = gap_scan(source(), VISIBLE_FAST, sink=sink)
-    full = gap_scan(list(enumerate_digraphs(2)), VISIBLE_FAST)
+    summary = gap_scan(source(), VISIBLE_FAST, sink=sink)
+    records, full = scan(list(enumerate_digraphs(2)), VISIBLE_FAST)
     # each record reaches the sink, certificates included, before the
     # next graph is drawn from the source
     assert [count for count, _ in seen] == [1, 2, 3, 4]
-    assert [rec for _, rec in seen] == list(full.records)
-    assert all(rec.certificate_plain is not None for _, rec in seen)
-    # a scan with a sink keeps no record, only the summary
-    assert result.records == ()
-    assert result.summary == full.summary
+    assert [rec for _, rec in seen] == records
+    assert all(rec.plain_outcome.certificate is not None for _, rec in seen)
+    assert summary == full
 
 
 def _record(status, gap=None, ratio=None):
@@ -163,31 +167,25 @@ def _record(status, gap=None, ratio=None):
 ])
 def test_gap_scan_summary_tallies_records(monkeypatch, records, expected):
     monkeypatch.setattr(lab, "_scan_records", lambda *args: iter(records))
-    kept = gap_scan([], VISIBLE_FAST)
-    assert kept.records == tuple(records)
-    assert kept.summary == expected
-    seen = []
-    streamed = gap_scan([], VISIBLE_FAST, sink=seen.append)
-    assert seen == records and streamed.records == ()
-    assert streamed.summary == expected
+    assert scan([], VISIBLE_FAST) == (records, expected)
 
 
 def test_gap_scan_empty_source():
-    result = gap_scan([], INVISIBLE_LAZY)
-    assert result.summary.instances == 0
-    assert result.summary.max_gap == 0
-    assert result.records == ()
+    records, summary = scan([], INVISIBLE_LAZY)
+    assert summary.instances == 0
+    assert summary.max_gap == 0
+    assert records == []
 
 
 def test_gap_scan_deterministic_reports():
     graphs = [random_digraph(4, 0.4, s) for s in range(8)]
-    r1 = gap_scan(graphs, VISIBLE_FAST)
-    r2 = gap_scan(graphs, VISIBLE_FAST)
-    csv1 = rows_to_csv(GAP_FIELDS, [r.to_row() for r in r1.records])
-    csv2 = rows_to_csv(GAP_FIELDS, [r.to_row() for r in r2.records])
+    r1, _ = scan(graphs, VISIBLE_FAST)
+    r2, _ = scan(graphs, VISIBLE_FAST)
+    csv1 = rows_to_csv(GAP_FIELDS, [r.to_row() for r in r1])
+    csv2 = rows_to_csv(GAP_FIELDS, [r.to_row() for r in r2])
     assert csv1 == csv2
-    jl1 = rows_to_jsonl([r.to_row() for r in r1.records])
-    jl2 = rows_to_jsonl([r.to_row() for r in r2.records])
+    jl1 = rows_to_jsonl([r.to_row() for r in r1])
+    jl2 = rows_to_jsonl([r.to_row() for r in r2])
     assert jl1 == jl2
 
 
@@ -206,9 +204,9 @@ def test_gap_scan_parallel_matches_serial(monkeypatch):
     seen = []
     parallel = gap_scan(source(), INVISIBLE_LAZY, jobs=2,
                         sink=lambda rec: seen.append((len(drawn), rec)))
-    serial = gap_scan(graphs, INVISIBLE_LAZY, jobs=1)
-    assert [rec for _, rec in seen] == list(serial.records)
-    assert parallel.summary == serial.summary
+    serial, summary = scan(graphs, INVISIBLE_LAZY, jobs=1)
+    assert [rec for _, rec in seen] == serial
+    assert parallel == summary
     # the scan never draws more than one window past the records made, so
     # its first record of 20 comes long before the source runs dry
     assert all(drawn_then <= made + lab.SCAN_WINDOW
@@ -247,31 +245,31 @@ def test_gap_scan_pool_size(monkeypatch, jobs, cpus, count, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     graphs = [random_digraph(3, 0.4, s) for s in range(count)]
-    result = gap_scan(graphs, VISIBLE_FAST, jobs=jobs)
+    result = scan(graphs, VISIBLE_FAST, jobs=jobs)
     assert sizes == ([] if workers is None else [workers])
-    assert result.records == gap_scan(graphs, VISIBLE_FAST).records
+    assert result == scan(graphs, VISIBLE_FAST)
 
 
 def test_gap_scan_budget_error_recorded_in_row():
     graphs = [Digraph(3, [(0, 1), (1, 2), (2, 0)]), Digraph(2, [])]
-    result = gap_scan(graphs, VISIBLE_FAST, state_budget=30)
-    assert result.records[0].status == "budget-exceeded"
-    assert result.records[0].copnum is None
+    records, summary = scan(graphs, VISIBLE_FAST, state_budget=30)
+    assert records[0].status == "budget-exceeded"
+    assert records[0].copnum is None
     # the scan continued: the trivial second instance still solved
-    assert result.records[1].status == "ok"
-    assert result.summary.errors == 1
+    assert records[1].status == "ok"
+    assert summary.errors == 1
 
 
 @pytest.mark.parametrize("variant", SUPPORTED_VARIANTS, ids=lambda v: v.name)
 def test_gap_scan_certifies_a_plain_value_that_gap_did_not_solve(variant):
     graphs = [Digraph(0), Digraph(3, [(0, 1), (1, 2), (2, 0)]),
               Digraph(4, [(0, 1), (0, 2), (2, 3)]), random_digraph(5, 0.4, 7)]
-    records = gap_scan(graphs, variant).records
+    records, _ = scan(graphs, variant)
     for d, rec in zip(graphs, records):
         assert gap(d, variant).plain.outcome is None
         assert rec.status == "ok"
-        assert rec.certificate_plain == solve(d, rec.copnum, variant).certificate
-        assert verify_certificate(d, rec.certificate_plain)
+        assert rec.plain_outcome.certificate == solve(d, rec.copnum, variant).certificate
+        assert verify_certificate(d, rec.plain_outcome.certificate)
 
 
 @pytest.mark.parametrize("truncate", [False, True], ids=["valid", "truncated"])
@@ -286,15 +284,14 @@ def test_gap_scan_attests_a_positive_gap(monkeypatch, truncate):
         # drop the kernel's strategy entry that sorts last in the certificate
         cert = plain.certificate
         *solved, won = plain.kernel_win
-        last = max(won, key=lambda key: (mask_to_tuple(key[0]), key[1]))
+        last = max(won, key=lambda key: (tuple(iter_bits(key[0])), key[1]))
         won = {key: move for key, move in won.items() if key != last}
         plain = dataclasses.replace(plain, kernel_win=(*solved, won))
         assert plain.certificate == dataclasses.replace(cert, body=cert.body[:-1])
     mono = solve(c3, 3, VISIBLE_FAST, monotone=True)
     fake = GapResult(2, 3, 1, 1.5, CopNumberResult(2, plain), CopNumberResult(3, mono))
     monkeypatch.setattr(lab, "gap", lambda *args, **kwargs: fake)
-    result = gap_scan([c3], VISIBLE_FAST)
-    rec = result.records[0]
+    (rec,), summary = scan([c3], VISIBLE_FAST)
     assert (rec.copnum, rec.mon_copnum, rec.gap, rec.status) == (2, 3, 1, "gap-unconfirmed")
     assert rec.attestation == {
         "k": 2,
@@ -303,8 +300,8 @@ def test_gap_scan_attests_a_positive_gap(monkeypatch, truncate):
         "monotone_states_explored":
             solve(c3, 2, VISIBLE_FAST, monotone=True).states_explored,
     }
-    assert rec.certificate_plain == plain.certificate
-    assert result.summary.gaps_positive == 1
+    assert rec.plain_outcome.certificate == plain.certificate
+    assert summary.gaps_positive == 1
 
 
 def test_gap_scan_budget_error_in_the_certificate_solve():
@@ -316,20 +313,20 @@ def test_gap_scan_budget_error_in_the_certificate_solve():
     d = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     res = gap(d, VISIBLE_FAST, state_budget=185)
     assert (res.cop_number, res.plain.outcome) == (1, None)
-    rec = gap_scan([d], VISIBLE_FAST, state_budget=185).records[0]
+    (rec,), _ = scan([d], VISIBLE_FAST, state_budget=185)
     assert rec.status == "budget-exceeded"
-    assert (rec.copnum, rec.mon_copnum, rec.certificate_plain) == (None, None, None)
+    assert (rec.copnum, rec.mon_copnum, rec.plain_outcome) == (None, None, None)
 
 
 def test_gap_scan_honours_explicit_ids():
     graphs = [("mine", Digraph(1))]
-    result = gap_scan(graphs, VISIBLE_FAST)
-    assert result.records[0].graph_id == "mine"
+    (rec,), _ = scan(graphs, VISIBLE_FAST)
+    assert rec.graph_id == "mine"
 
 
 def test_gap_record_invariants_on_scan():
-    result = gap_scan(list(enumerate_digraphs(2)), INVISIBLE_LAZY)
-    for rec in result.records:
+    records, _ = scan(list(enumerate_digraphs(2)), INVISIBLE_LAZY)
+    for rec in records:
         assert rec.gap >= 0
         assert rec.ratio >= 1.0
         assert rec.n == 2
@@ -343,14 +340,14 @@ def test_gap_scan_measure_runtime_fills_only_runtime(state_budget):
     # non-negative int, on solved and budget-exceeded rows alike
     graphs = list(enumerate_digraphs(3))
     budget = {} if state_budget is None else {"state_budget": state_budget}
-    timed = gap_scan(graphs, VISIBLE_FAST, measure_runtime=True, **budget)
-    untimed = gap_scan(graphs, VISIBLE_FAST, **budget)
-    assert all(type(r.runtime_ms) is int and r.runtime_ms >= 0 for r in timed.records)
-    assert [dataclasses.replace(r, runtime_ms=0).to_row() for r in timed.records] == [
-        r.to_row() for r in untimed.records]
-    assert all(r.runtime_ms == 0 for r in untimed.records)
-    assert timed.summary == untimed.summary
-    statuses = {r.status for r in timed.records}
+    timed, timed_summary = scan(graphs, VISIBLE_FAST, measure_runtime=True, **budget)
+    untimed, untimed_summary = scan(graphs, VISIBLE_FAST, **budget)
+    assert all(type(r.runtime_ms) is int and r.runtime_ms >= 0 for r in timed)
+    assert [dataclasses.replace(r, runtime_ms=0).to_row() for r in timed] == [
+        r.to_row() for r in untimed]
+    assert all(r.runtime_ms == 0 for r in untimed)
+    assert timed_summary == untimed_summary
+    statuses = {r.status for r in timed}
     assert statuses == ({"ok"} if state_budget is None else {"ok", "budget-exceeded"})
 
 

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copwin import engine, solver
 from copwin.arena import (
@@ -12,7 +14,7 @@ from copwin.arena import (
     VISIBLE_FAST_SCC,
 )
 from copwin.bits import subsets_of_size
-from copwin.digraph import Digraph, bidirect, delete_arcs, fingerprint, is_acyclic
+from copwin.digraph import Digraph, fingerprint, induced_subgraph, is_acyclic
 from copwin.errors import CertificateError, StateBudgetExceededError
 from copwin.lab import random_digraph
 from copwin.solver import (
@@ -27,6 +29,7 @@ from copwin.solver import (
 )
 
 from oracles import (
+    bidirect,
     enumerate_arc_lists,
     naive_invisible_cops_win,
     naive_visible_cops_win,
@@ -179,14 +182,77 @@ def test_subgraph_dominance_arc_deletion():
         d = random_digraph(n, 0.5, 31337 + trial)
         if not d.arcs:
             continue
-        drop = [a for a in d.arcs if rng.random() < 0.4]
-        d2 = delete_arcs(d, drop)
+        drop = {a for a in d.arcs if rng.random() < 0.4}
+        d2 = Digraph(n, [a for a in d.arcs if a not in drop])
         for variant in ALL_VARIANTS:
             for mono in (False, True):
                 assert (
                     cop_number(d2, variant, mono).value
                     <= cop_number(d, variant, mono).value
                 )
+
+
+@st.composite
+def digraphs_n5_n7(draw):
+    n = draw(st.integers(5, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Digraph(n, [arc for arc, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(digraphs_n5_n7())
+def test_cross_game_inequalities(d):
+    """Three inequalities between plain cop numbers on one graph, each
+    because one robber is no stronger than the other against the same
+    cop moves.
+
+    * visible-fast-scc <= visible-fast: at every position and cop move
+      the strongly confined robber lands in a subset of the places the
+      free robber may land, so a cop strategy that beats the free
+      robber beats the confined one.
+    * visible-fast <= invisible-fast: the visible robber always stands
+      in the contamination of the invisible game played with the same
+      cop moves (both start from every vertex and run along the same
+      paths), so the moves that clear it leave him no landing spot.  The
+      visible game is a finite reachability game, so the cops then also
+      win it positionally.
+    * invisible-lazy <= invisible-fast: on the same cop moves the lazy
+      contamination stays inside the fast one.  The lazy robber runs
+      only from vertices a cop lands on, along paths avoiding the cops
+      that stay, so by induction its new contamination lies in the fast
+      one's closure of the same set.
+
+    Only the plain forms are asserted.  A monotone strategy in one game
+    need not be monotone in the other, since monotonicity is judged on
+    territories in the visible games and on contamination in the
+    invisible ones.
+    """
+    c = {variant.name: cop_number(d, variant).value for variant in SUPPORTED_VARIANTS}
+    assert c["visible-fast-scc"] <= c["visible-fast"] <= c["invisible-fast"], (d.arcs, c)
+    assert c["invisible-lazy"] <= c["invisible-fast"], (d.arcs, c)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(digraphs_n5_n7(), st.data())
+def test_vertex_deletion_never_raises_the_cop_number(d, data):
+    """c(D - v) <= c(D) in all four games, plain play.
+
+    The cops on D - v play their strategy for D without the cop on v.
+    The robber on D - v is a robber on D who never enters v: his runs
+    follow paths of D - v, which are paths of D avoiding the same
+    stationary cops, and a strong component of D - v - (C & C') lies
+    inside one of D - (C & C').  So at every step his landing spots
+    (visible) or his contamination (invisible) lie within those on D,
+    and a cop win on D is one on D - v.  The monotone form is not
+    asserted: a territory of D - v is not that of D restricted to
+    V - v, so monotone play on D need not stay monotone on D - v.
+    """
+    v = data.draw(st.integers(0, d.n - 1), label="v")
+    sub, _ = induced_subgraph(d, [u for u in range(d.n) if u != v])
+    for variant in SUPPORTED_VARIANTS:
+        assert cop_number(sub, variant).value <= cop_number(d, variant).value, (
+            d.arcs, v, variant.name)
 
 
 def test_gap_examples():

@@ -2,18 +2,19 @@ import random
 
 import pytest
 
-from copwin.digraph import Digraph, bidirect, is_acyclic
+from copwin.digraph import Digraph, is_acyclic
 from copwin.errors import SizeLimitError
-from copwin.lab import enumerate_connected_graphs, enumerate_digraphs
+from copwin.lab import enumerate_digraphs
+from copwin import width
 from copwin.width import (
+    WIDTHS,
     dag_width,
     directed_path_width,
     kelly_width,
     treewidth_exact,
-    width_by_name,
 )
 
-from oracles import naive_treewidth
+from oracles import bidirect, enumerate_connected_graphs, naive_treewidth
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 CHAIN = Digraph(3, [(0, 1), (1, 2)])
@@ -89,16 +90,14 @@ def test_width_reports_record_provenance():
     assert rep.value == rep.cop_number + rep.offset
     assert rep.monotone is True
     assert rep.variant == "invisible-fast"
-    assert rep.certificate is not None
-    assert "directed-path-width" in rep.describe()
+    assert rep.measure == "directed-path-width"
+    assert rep.outcome.certificate is not None
 
 
-def test_width_by_name():
-    assert width_by_name("dagwidth") is dag_width
-    assert width_by_name("kellywidth") is kelly_width
-    assert width_by_name("dpw") is directed_path_width
-    with pytest.raises(ValueError):
-        width_by_name("nope")
+def test_widths_by_cli_name():
+    measures = {name: getattr(width, attr) for name, attr in WIDTHS.items()}
+    assert measures == {"dagwidth": dag_width, "kellywidth": kelly_width,
+                        "dpw": directed_path_width}
 
 
 def test_bidirected_classics_small():

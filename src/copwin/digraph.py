@@ -121,6 +121,11 @@ MAX_VERTICES = 1 << 20
 # Digits of MAX_VERTICES: a count or id with more, leading zeros aside, is
 # out of range, and int() refuses one of more than 4,300 digits outright.
 _MAX_DIGITS = len(str(MAX_VERTICES))
+# Largest vertex-mask table a file may need: a Digraph keeps each
+# vertex's out- and in-neighbours as int masks as wide as the largest
+# neighbour id, so an n-cycle takes about n^2 bits (a 2^20-cycle,
+# 128 GiB).  2^28 bits is 32 MiB.
+MAX_MASK_BITS = 1 << 28
 
 
 def parse_edge_list(text: str) -> Digraph:
@@ -132,8 +137,9 @@ def parse_edge_list(text: str) -> Digraph:
     count; otherwise it is inferred as 1 + the largest id seen (0 for an
     empty input).  Every other line is one arc ``u v``.  Counts and ids
     are ASCII decimal digits.  Self-loops, duplicate arcs, ids at or
-    above a declared count, and counts or ids implying more than
-    ``MAX_VERTICES`` vertices are hard errors.
+    above a declared count, counts or ids implying more than
+    ``MAX_VERTICES`` vertices, and arcs whose vertex masks would take
+    more than ``MAX_MASK_BITS`` bits are hard errors.
     """
     declared_n = None
     limit = MAX_VERTICES  # ids must stay below it: the declared count, once read
@@ -180,7 +186,26 @@ def parse_edge_list(text: str) -> Digraph:
         if arcs.setdefault((u, v), line_no) != line_no:
             raise EdgeListParseError(f"duplicate arc ({u},{v})", line_no)
     n = declared_n if declared_n is not None else max(map(max, arcs), default=-1) + 1
+    # at most min(n, m) vertices have out-arcs (in-arcs), each mask at most n bits
+    if 2 * n * min(n, len(arcs)) > MAX_MASK_BITS:
+        bits = _mask_bits(arcs)
+        if bits > MAX_MASK_BITS:
+            raise EdgeListParseError(
+                f"the arcs need {bits} bits of vertex masks, over the limit of {MAX_MASK_BITS}")
     return Digraph(n, arcs)
+
+
+def _mask_bits(arcs):
+    """Bits in the successor and predecessor masks of a Digraph on ``arcs``:
+    a vertex's mask is one bit wider than its largest neighbour id."""
+    top_out = {}
+    top_in = {}
+    for u, v in arcs:
+        if top_out.get(u, -1) < v:
+            top_out[u] = v
+        if top_in.get(v, -1) < u:
+            top_in[v] = u
+    return sum(top_out.values()) + len(top_out) + sum(top_in.values()) + len(top_in)
 
 
 def _decimal(token):
@@ -273,16 +298,54 @@ def acyclic_mask(pred, active: int) -> bool:
 def scc(d: Digraph) -> Tuple[FrozenSet[int], ...]:
     """Strongly connected components, in reverse topological order.
 
-    No component reaches a later one.  The components are
-    ``component_masks`` of the closure rows, ordered by how many
-    vertices they reach, then by lowest vertex.  A component A that
-    reaches another, B, reaches all that B reaches and A itself, which B
-    does not reach, so A reaches strictly more and comes after B.
+    No component reaches a later one.  This is Tarjan's algorithm, run
+    with an explicit stack over ``succ_masks``: it emits a component
+    only once the depth-first search has finished every vertex the
+    component reaches, so every component it reaches comes first.  It
+    keeps O(n) small ints, and for each vertex on the search path the
+    unscanned part of its successor mask: no reach mask per vertex or
+    component.
     """
-    rows = closure_masks(d)
-    comps = component_masks(rows, d.full_mask)  # by lowest vertex; the sort is stable
-    comps.sort(key=lambda c: rows[(c & -c).bit_length() - 1].bit_count())
-    return tuple(frozenset(iter_bits(c)) for c in comps)
+    succ = d.succ_masks
+    order = [0] * d.n  # visit numbers from 1; 0 while unvisited
+    low = [0] * d.n
+    on_stack = bytearray(d.n)
+    stack = []
+    comps = []
+    count = 0
+    for root in range(d.n):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        on_stack[root] = 1
+        path = [(root, iter_bits(succ[root]))]
+        while path:
+            v, targets = path[-1]
+            for w in targets:
+                if not order[w]:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append(w)
+                    on_stack[w] = 1
+                    path.append((w, iter_bits(succ[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    comp = []
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp.append(w)
+                    comps.append(frozenset(comp))
+    return tuple(comps)
 
 
 def is_acyclic(d: Digraph) -> bool:
@@ -297,8 +360,9 @@ def induced_subgraph(d: Digraph, x: Iterable[int]) -> Tuple[Digraph, Dict[int, i
         if not 0 <= v < d.n:
             raise ValueError(f"vertex {v} not in V(D)")
     relabel = {old: new for new, old in enumerate(xs)}
-    keep = set(xs)
-    arcs = [(relabel[u], relabel[v]) for u, v in d.arcs if u in keep and v in keep]
+    # the arcs out of X only, so a small X of a large D costs little
+    succ = d.succ_masks
+    arcs = [(relabel[u], relabel[v]) for u in xs for v in iter_bits(succ[u]) if v in relabel]
     return Digraph(len(xs), arcs), relabel
 
 

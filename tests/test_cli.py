@@ -157,6 +157,46 @@ def test_solve_zero_cops_on_huge_vertex_id(tmp_path, variant):
         assert proc.stdout == "ROBBER\n", flags
 
 
+def test_widths_and_report_on_a_sparse_huge_graph(tmp_path):
+    # one 2-cycle among 100,000 vertices: each measure solves the 2-cycle
+    # alone, so every call answers well within the timeout
+    graph = tmp_path / "wide.edges"
+    graph.write_text("n 100000\n0 1\n1 0\n")
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "copwin.cli", *argv, str(graph)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        return proc.stdout
+
+    for measure, value in (("dagwidth", 2), ("kellywidth", 2), ("dpw", 1)):
+        assert run("width", "--measure", measure) == f"{value}\n"
+    row = json.loads(run("hard", "report", "--format", "jsonl"))
+    assert (row["dagwidth"], row["kellywidth"], row["fas"]) == (2, 2, 1)
+    assert row["status"] == "fvs:size-limit;ham:size-limit;mes:size-limit"
+
+
+def test_parse_refuses_masks_over_the_cap(tmp_path):
+    # a 40,000-cycle needs about 1.6e9 bits (some 200 MB) of vertex masks:
+    # the parser refuses it before building any, so the call fits in a
+    # 256 MiB address space that the masks alone would nearly fill
+    n = 40_000
+    graph = tmp_path / "cycle.edges"
+    graph.write_text(f"n {n}\n" + "".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
+    script = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+        "from copwin.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "width", "--measure", "dpw", str(graph)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "bits of vertex masks, over the limit" in proc.stderr
+
+
 def test_certify_wrong_graph_exit_4(capsys, tmp_path, c3_file):
     cert = tmp_path / "cert.json"
     run_cli(capsys, "copnum", "--variant", "visible", "--emit-cert", str(cert), c3_file)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copwin import digraph
 from copwin.bits import iter_bits, mask_from
 from copwin.digraph import (
+    MAX_MASK_BITS,
     MAX_VERTICES,
     Digraph,
     acyclic_mask,
@@ -90,6 +92,33 @@ def test_parse_vertex_count_cap():
     for text in (f"n {MAX_VERTICES + 1}", f"0 {MAX_VERTICES}", f"{MAX_VERTICES} 0"):
         with pytest.raises(EdgeListParseError, match="exceeds the limit"):
             parse_edge_list(text)
+
+
+def _cycle_text(n):
+    return "".join(f"{v} {(v + 1) % n}\n" for v in range(n))
+
+
+@settings(max_examples=80)
+@given(digraphs(9))
+def test_mask_bits_counts_the_digraph_masks(d):
+    bits = digraph._mask_bits(d.arcs)
+    assert bits == sum(mask.bit_length() for mask in d.succ_masks + d.pred_masks)
+    # the parser's quick bound, which skips the count, is never below it
+    assert bits <= 2 * d.n * min(d.n, d.m)
+
+
+def test_parse_mask_table_cap(monkeypatch):
+    text = _cycle_text(50)
+    need = digraph._mask_bits(parse_edge_list(text).arcs)
+    monkeypatch.setattr(digraph, "MAX_MASK_BITS", need)
+    assert parse_edge_list(text).n == 50
+    monkeypatch.setattr(digraph, "MAX_MASK_BITS", need - 1)
+    with pytest.raises(EdgeListParseError, match=f"need {need} bits of vertex masks"):
+        parse_edge_list(text)
+    monkeypatch.undo()
+    # an n-cycle needs about n^2 bits: 40,000 vertices are refused unbuilt
+    with pytest.raises(EdgeListParseError, match=f"over the limit of {MAX_MASK_BITS}"):
+        parse_edge_list(_cycle_text(40_000))
 
 
 def test_parse_overlong_digit_runs():
@@ -275,6 +304,14 @@ def test_scc_partitions_vertices():
         assert not seen & c
         seen |= c
     assert seen == set(range(5))
+
+
+def test_scc_of_a_sparse_huge_graph():
+    # one 2-cycle among 100,000 vertices: a reach row per vertex would
+    # take about 625 MB
+    comps = scc(Digraph(100_000, [(0, 1), (1, 0)]))
+    assert len(comps) == 99_999
+    assert frozenset({0, 1}) in comps
 
 
 def _has_cycle_dfs(d):

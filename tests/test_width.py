@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from copwin.arena import INVISIBLE_FAST, INVISIBLE_LAZY, VISIBLE_FAST
 from copwin.digraph import Digraph, is_acyclic
 from copwin.errors import SizeLimitError
 from copwin.lab import enumerate_digraphs
+from copwin.solver import cop_number
 from copwin import width
 from copwin.width import (
     WIDTHS,
@@ -91,7 +95,6 @@ def test_width_reports_record_provenance():
     assert rep.monotone is True
     assert rep.variant == "invisible-fast"
     assert rep.measure == "directed-path-width"
-    assert rep.outcome.certificate is not None
 
 
 def test_widths_by_cli_name():
@@ -131,3 +134,63 @@ def test_widths_invariant_under_relabeling():
         assert dag_width(d).value == dag_width(d2).value
         assert kelly_width(d).value == kelly_width(d2).value
         assert directed_path_width(d).value == directed_path_width(d2).value
+
+
+# ---------------------------------------------------------------------------
+# one strong component at a time
+# ---------------------------------------------------------------------------
+
+MEASURES = [
+    (dag_width, VISIBLE_FAST, 0),
+    (kelly_width, INVISIBLE_LAZY, 0),
+    (directed_path_width, INVISIBLE_FAST, -1),
+]
+
+
+def _check_widths_match_whole_graph(d):
+    # the oracle is the whole-graph monotone sweep from k = 0
+    for measure, variant, offset in MEASURES:
+        want = cop_number(d, variant, monotone=True).value + offset
+        assert measure(d).value == want, (d.n, d.arcs, variant.name)
+
+
+def test_widths_match_whole_graph_census_n_le_4():
+    for n in range(5):
+        for d in enumerate_digraphs(n):
+            _check_widths_match_whole_graph(d)
+
+
+@st.composite
+def digraphs_with_components(draw):
+    # consecutive blocks of vertices, each closed into a cycle, with any
+    # arcs inside a block and forward ones between blocks: the blocks
+    # are the strong components
+    n = draw(st.integers(5, 9))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    block = [0] * n
+    arcs = set()
+    for i, (a, b) in enumerate(zip([0] + cuts, cuts + [n])):
+        block[a:b] = [i] * (b - a)
+        if b - a > 1:
+            arcs |= {(v, v + 1) for v in range(a, b - 1)} | {(b - 1, a)}
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if u != v and (u < v or block[u] == block[v])]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Digraph(n, arcs | {arc for arc, kept in zip(pairs, keep) if kept})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(digraphs_with_components())
+def test_widths_match_whole_graph_random(d):
+    _check_widths_match_whole_graph(d)
+
+
+def test_widths_solve_only_components():
+    # two 2-cycles feeding a 3-cycle, and a long tail: every measure is
+    # the 3-cycle's, 2 cops, whatever the acyclic parts around it
+    d = Digraph(12, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 4), (3, 4), (4, 5), (5, 6),
+                     (6, 4)] + [(i, i + 1) for i in range(6, 11)])
+    assert [m(d).cop_number for m, _, _ in MEASURES] == [2, 2, 2]
+    assert directed_path_width(Digraph(0)).cop_number == 0
+    assert directed_path_width(Digraph(5)).cop_number == 1
+
